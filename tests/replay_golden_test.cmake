@@ -1,0 +1,122 @@
+# Replay goldens: the assigned trace of every replay path, and the model
+# trained from the LLF run, must hash to the committed SHA-256 values —
+# at --threads 1 and --threads 4 alike. Refactors and optimisations of
+# the placement path must keep these bytes; a change that moves them
+# changes behaviour. Invoked by ctest with -DCLI=<path-to-binary>.
+#
+# To print fresh hashes instead of comparing (only for a deliberate
+# behaviour change, never to make a refactor pass):
+#   cmake -DCLI=build/tools/s3lb -DRECORD=ON -P tests/replay_golden_test.cmake
+
+if(NOT DEFINED CLI)
+  message(FATAL_ERROR "pass -DCLI=<s3lb binary>")
+endif()
+
+set(WORK "${CMAKE_CURRENT_BINARY_DIR}/replay_golden_test_work")
+file(REMOVE_RECURSE "${WORK}")
+file(MAKE_DIRECTORY "${WORK}")
+
+function(run_cli)
+  execute_process(COMMAND ${CLI} ${ARGN}
+                  RESULT_VARIABLE rc
+                  OUTPUT_VARIABLE out
+                  ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "s3lb ${ARGN} failed (${rc}):\n${out}\n${err}")
+  endif()
+endfunction()
+
+# Reports every mismatch (SEND_ERROR keeps going) so one run shows the
+# full extent of a behaviour change.
+function(expect_sha256 name path golden)
+  file(SHA256 "${path}" got)
+  if(RECORD)
+    message(STATUS "golden ${name} ${got}")
+  elseif(got STREQUAL golden)
+    message(STATUS "${name}: matches golden")
+  else()
+    message(SEND_ERROR "${name}: SHA-256 ${got}, golden ${golden}")
+  endif()
+endfunction()
+
+# --- world and model ----------------------------------------------------
+# 3 buildings x 4 APs: controllers 0-2, APs 0-11; the trace spans 6 days
+# (518400 s).
+
+set(TOPO --buildings 3 --aps 4)
+run_cli(generate --out "${WORK}/w.csv" --users 400 --days 6 ${TOPO}
+        --seed 7)
+run_cli(replay --in "${WORK}/w.csv" --out "${WORK}/collected.csv"
+        --policy llf ${TOPO} --threads 1)
+run_cli(train --in "${WORK}/collected.csv" --out "${WORK}/model.txt"
+        ${TOPO})
+expect_sha256(model "${WORK}/model.txt"
+  8ec28eab48a393082adca64f5db79f2fe929c650f279f45b25c10d6dbee6d448)
+
+# AP churn, a model outage (S3 degrades to its embedded LLF) and an
+# admission-failure window (retries and re-associations).
+file(WRITE "${WORK}/ap_model_outage.txt"
+"s3fault v1
+ap-outage 1 30000 60000
+ap-outage 6 200000 230000
+model-outage 100000 160000
+admission-failure 0.1 250000 300000
+")
+
+# Two controller crashes, each covered by its domain's backup, plus an
+# AP outage so the run differs from plain LLF.
+file(WRITE "${WORK}/controller_outage.txt"
+"s3fault v1
+controller-outage 0 36000 50400
+controller-outage 2 122400 136800
+ap-outage 5 200000 230000
+")
+
+# --- goldens ------------------------------------------------------------
+
+set(GOLDEN_llf
+  1b8eae58675dbdab61fd7e49a3dd39bbe95390660751dcb40e63ba44fb36d084)
+set(GOLDEN_s3
+  8d13e62e3eaa0759a00f9339a5e25e0bc51fa135e5aa5399067a228fce2b5bba)
+set(GOLDEN_s3_online
+  05040a2c2c7a775341cacefa225a358a37b02e566c2c9a6f0c9d77ff24ea15db)
+set(GOLDEN_s3_faults
+  2afa67f16d5160d136864ab49a296958424524469ded16113ac0eeab24e69707)
+set(GOLDEN_llf_replicated
+  2632993e6055001945cde4b67024092dec566fec81ce5f04af2a32440664733d)
+
+foreach(threads 1 4)
+  run_cli(replay --in "${WORK}/w.csv" --out "${WORK}/llf_t${threads}.csv"
+          --policy llf ${TOPO} --threads ${threads})
+  expect_sha256(llf_t${threads} "${WORK}/llf_t${threads}.csv"
+                ${GOLDEN_llf})
+
+  run_cli(replay --in "${WORK}/w.csv" --out "${WORK}/s3_t${threads}.csv"
+          --policy s3 --model "${WORK}/model.txt" ${TOPO}
+          --threads ${threads})
+  expect_sha256(s3_t${threads} "${WORK}/s3_t${threads}.csv" ${GOLDEN_s3})
+
+  run_cli(replay --in "${WORK}/w.csv"
+          --out "${WORK}/s3_online_t${threads}.csv"
+          --policy s3-online --model "${WORK}/model.txt" ${TOPO}
+          --threads ${threads})
+  expect_sha256(s3_online_t${threads} "${WORK}/s3_online_t${threads}.csv"
+                ${GOLDEN_s3_online})
+
+  run_cli(replay --in "${WORK}/w.csv"
+          --out "${WORK}/s3_faults_t${threads}.csv"
+          --policy s3 --model "${WORK}/model.txt" ${TOPO}
+          --fault-plan "${WORK}/ap_model_outage.txt" --fault-seed 9
+          --threads ${threads})
+  expect_sha256(s3_faults_t${threads} "${WORK}/s3_faults_t${threads}.csv"
+                ${GOLDEN_s3_faults})
+
+  run_cli(replay --in "${WORK}/w.csv"
+          --out "${WORK}/llf_replicated_t${threads}.csv"
+          --policy llf ${TOPO} --replicas 1
+          --fault-plan "${WORK}/controller_outage.txt" --fault-seed 9
+          --threads ${threads})
+  expect_sha256(llf_replicated_t${threads}
+                "${WORK}/llf_replicated_t${threads}.csv"
+                ${GOLDEN_llf_replicated})
+endforeach()
