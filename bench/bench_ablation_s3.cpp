@@ -125,7 +125,8 @@ int main(int argc, char** argv) {
       // score the standard test window.
       const trace::Trace warmup = world.workload.slice(
           util::SimTime::from_days(7), util::SimTime::from_days(21));
-      (void)sim::replay(world.network, warmup, online, full.replay);
+      (void)runtime::ReplayDriver(world.network, {.replay = full.replay})
+          .run_sequential(warmup, online);
       add("S3 online, 7d training + live",
           core::score_policy(world.network, world.workload, online, full));
     }

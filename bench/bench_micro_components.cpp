@@ -12,7 +12,6 @@
 #include "s3/core/s3_selector.h"
 #include "s3/core/selector_factory.h"
 #include "s3/runtime/replay_driver.h"
-#include "s3/sim/replay.h"
 #include "s3/social/clique.h"
 #include "s3/trace/generator.h"
 #include "s3/util/rng.h"
@@ -130,8 +129,8 @@ void BM_ReplayLlf(benchmark::State& state) {
   const trace::GeneratedTrace& world = bench_world();
   for (auto _ : state) {
     core::LlfSelector llf;
-    benchmark::DoNotOptimize(
-        sim::replay(world.network, world.workload, llf));
+    benchmark::DoNotOptimize(runtime::ReplayDriver(world.network)
+                                 .run_sequential(world.workload, llf));
   }
   state.counters["sessions/s"] = benchmark::Counter(
       static_cast<double>(world.workload.size() * state.iterations()),
@@ -166,8 +165,9 @@ void BM_ReplayS3(benchmark::State& state) {
       util::SimTime::from_days(3), util::SimTime::from_days(4));
   for (auto _ : state) {
     core::S3Selector s3(&world.network, &model, eval.s3);
-    benchmark::DoNotOptimize(sim::replay(world.network, test, s3,
-                                         eval.replay));
+    benchmark::DoNotOptimize(
+        runtime::ReplayDriver(world.network, {.replay = eval.replay})
+            .run_sequential(test, s3));
   }
   state.counters["sessions/s"] = benchmark::Counter(
       static_cast<double>(test.size() * state.iterations()),
@@ -178,7 +178,8 @@ BENCHMARK(BM_ReplayS3)->Unit(benchmark::kMillisecond);
 void BM_ExtractPairStats(benchmark::State& state) {
   const trace::GeneratedTrace& world = bench_world();
   core::LlfSelector llf;
-  const sim::ReplayResult r = sim::replay(world.network, world.workload, llf);
+  const sim::ReplayResult r =
+      runtime::ReplayDriver(world.network).run_sequential(world.workload, llf);
   for (auto _ : state) {
     benchmark::DoNotOptimize(analysis::extract_pair_stats(r.assigned, {}));
   }
@@ -188,7 +189,8 @@ BENCHMARK(BM_ExtractPairStats)->Unit(benchmark::kMillisecond);
 void BM_TrainSocialModel(benchmark::State& state) {
   const trace::GeneratedTrace& world = bench_world();
   core::LlfSelector llf;
-  const sim::ReplayResult r = sim::replay(world.network, world.workload, llf);
+  const sim::ReplayResult r =
+      runtime::ReplayDriver(world.network).run_sequential(world.workload, llf);
   for (auto _ : state) {
     benchmark::DoNotOptimize(social::SocialIndexModel::train(r.assigned, {}));
   }

@@ -33,7 +33,8 @@ int main(int argc, char** argv) {
                          "throttled_pct", "served_w_contention"});
   auto run = [&](sim::ApSelector& policy) {
     const sim::ReplayResult r =
-        sim::replay(world.network, test, policy, eval.replay);
+        runtime::ReplayDriver(world.network, {.replay = eval.replay})
+            .run_sequential(test, policy);
     const analysis::FairnessReport f =
         analysis::evaluate_fairness(world.network, r.assigned, begin, end);
     analysis::FairnessOptions contended;

@@ -68,7 +68,8 @@ int main(int argc, char** argv) {
   const trace::Trace test = world.workload.slice(
       util::SimTime::from_days(21), util::SimTime::from_days(24));
   const sim::ReplayResult run =
-      sim::replay(world.network, test, *policy, eval.replay);
+      runtime::ReplayDriver(world.network, {.replay = eval.replay})
+          .run_sequential(test, *policy);
 
   const std::int64_t day = 21 + test_day;
   const util::SimTime begin = util::SimTime::from_days(day);

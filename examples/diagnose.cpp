@@ -89,8 +89,9 @@ int main() {
       util::SimTime::from_days(21), util::SimTime::from_days(24));
   core::LlfSelector llf(eval.baseline_metric);
   core::S3Selector s3sel(&net, &model, eval.s3);
-  const sim::ReplayResult rl = sim::replay(net, test, llf, eval.replay);
-  const sim::ReplayResult rs = sim::replay(net, test, s3sel, eval.replay);
+  const runtime::ReplayDriver driver(net, {.replay = eval.replay});
+  const sim::ReplayResult rl = driver.run_sequential(test, llf);
+  const sim::ReplayResult rs = driver.run_sequential(test, s3sel);
   std::cout << "S3 batches: " << rs.stats.num_batches
             << " mean size " << rs.stats.mean_batch_size
             << " max " << rs.stats.max_batch_size

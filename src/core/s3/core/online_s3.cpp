@@ -4,14 +4,6 @@
 
 namespace s3::core {
 
-namespace {
-/// Feed retention: enough for any realistic consumer cadence (a
-/// selector syncs every batch), small enough that an abandoned feed
-/// never grows without bound. Overflow drops the older half, so a
-/// consumer that skipped more than this many records reseeds.
-constexpr std::size_t kFeedCapacity = 1 << 16;
-}  // namespace
-
 OnlineSocialModel::OnlineSocialModel(const social::SocialIndexModel* base,
                                      OnlineS3Config config)
     : base_(base), config_(config) {
@@ -33,31 +25,6 @@ social::PairStore::Stats& OnlineSocialModel::live_stats(UserId u, UserId v) {
   social::PairStore::Stats& slot = live_.upsert(key);
   slot = seed;
   return slot;
-}
-
-void OnlineSocialModel::push_delta(UserId u, UserId v) {
-  if (feed_.size() >= kFeedCapacity) {
-    const std::size_t drop = feed_.size() / 2;
-    feed_.erase(feed_.begin(),
-                feed_.begin() + static_cast<std::ptrdiff_t>(drop));
-    feed_base_ += drop;
-  }
-  // θ after the bump; the epoch stamp is the value read_epoch() will
-  // report once the enclosing event handler finishes (it increments
-  // epoch_ on exit).
-  feed_.push_back(social::ThetaDelta{UserPair(u, v), theta(u, v), epoch_ + 1});
-}
-
-social::ThetaDeltaPoll OnlineSocialModel::poll_theta_deltas(
-    std::uint64_t cursor, std::vector<social::ThetaDelta>& out) const {
-  const std::uint64_t end = feed_base_ + feed_.size();
-  if (cursor < feed_base_ || cursor > end) {
-    return social::ThetaDeltaPoll{end, false};
-  }
-  out.insert(out.end(),
-             feed_.begin() + static_cast<std::ptrdiff_t>(cursor - feed_base_),
-             feed_.end());
-  return social::ThetaDeltaPoll{end, true};
 }
 
 double OnlineSocialModel::theta(UserId u, UserId v) const {
@@ -127,8 +94,7 @@ void OnlineSocialModel::on_disconnect(std::size_t session_index,
     const util::SimTime overlap =
         when - std::max(other.since, leaving.since);
     if (overlap >= config_.min_encounter_overlap) {
-      bump_pair(leaving.user, other.user,
-                [](social::PairStore::Stats& s) { ++s.encounters; });
+      ++live_stats(leaving.user, other.user).encounters;
     }
   }
   // Co-leavings: recent departures within the window whose shared stay
@@ -138,8 +104,7 @@ void OnlineSocialModel::on_disconnect(std::size_t session_index,
     if (d.user == leaving.user) continue;
     const util::SimTime overlap = d.when - std::max(d.since, leaving.since);
     if (overlap >= config_.min_encounter_overlap) {
-      bump_pair(leaving.user, d.user,
-                [](social::PairStore::Stats& s) { ++s.co_leaves; });
+      ++live_stats(leaving.user, d.user).co_leaves;
     }
   }
   recent.push_back({leaving.user, leaving.since, when});

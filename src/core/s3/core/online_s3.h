@@ -47,17 +47,10 @@ class OnlineSocialModel : public social::ThetaProvider {
 
   /// Advances whenever an event mutates the live statistics or the
   /// presence state behind them. Single-owner provider: reads never
-  /// race mutations, so the stamp is exact, not momentary.
+  /// race mutations, so the stamp is exact, not momentary. The model
+  /// keeps no ThetaDelta feed, so the inherited poll_theta_deltas()
+  /// reports every mutation as an incomplete poll (graph.h).
   std::uint64_t read_epoch() const noexcept override { return epoch_; }
-
-  /// Structured change feed per the ThetaDelta contract (graph.h): one
-  /// record per live pair-counter bump, carrying θ after the bump.
-  /// Bounded — consumers that fall behind the log's retention get an
-  /// incomplete poll and must reseed.
-  bool emits_theta_deltas() const noexcept override { return true; }
-  social::ThetaDeltaPoll poll_theta_deltas(
-      std::uint64_t cursor,
-      std::vector<social::ThetaDelta>& out) const override;
 
   /// Feed an association: the station joined `ap` at `when`.
   void on_associate(std::size_t session_index, UserId user, ApId ap,
@@ -96,14 +89,6 @@ class OnlineSocialModel : public social::ThetaProvider {
   };
 
   social::PairStore::Stats& live_stats(UserId u, UserId v);
-  /// Bumps one live pair counter through `fn` and records the
-  /// resulting θ in the change feed.
-  template <typename Fn>
-  void bump_pair(UserId u, UserId v, Fn&& fn) {
-    fn(live_stats(u, v));
-    push_delta(u, v);
-  }
-  void push_delta(UserId u, UserId v);
 
   const social::SocialIndexModel* base_;
   OnlineS3Config config_;
@@ -115,10 +100,6 @@ class OnlineSocialModel : public social::ThetaProvider {
   /// Recent departures per AP (pruned past the co-leave window).
   std::unordered_map<ApId, std::vector<Departure>> recent_departures_;
   std::uint64_t epoch_ = 0;  ///< see read_epoch()
-  /// Bounded ThetaDelta log; feed_base_ is the cursor of feed_[0]
-  /// (records before it were truncated away).
-  std::vector<social::ThetaDelta> feed_;
-  std::uint64_t feed_base_ = 0;
 };
 
 /// S3 with continuous learning: identical placement machinery, but the

@@ -4,7 +4,7 @@
 #include <numeric>
 
 #include "s3/core/baselines.h"
-#include "s3/sim/replay.h"
+#include "s3/runtime/replay_driver.h"
 #include "s3/util/rng.h"
 
 namespace s3::core {
@@ -27,9 +27,10 @@ OracleResult offline_upper_bound(const wlan::Network& net,
 
   // Warm start: the deployed policy's assignment.
   LlfSelector llf(LoadMetric::kStations);
-  sim::ReplayConfig rc;
-  rc.radio = config.radio;
-  const sim::ReplayResult warm = sim::replay(net, workload, llf, rc);
+  runtime::ReplayDriverConfig rc;
+  rc.replay.radio = config.radio;
+  const sim::ReplayResult warm =
+      runtime::ReplayDriver(net, rc).run_sequential(workload, llf);
 
   const auto sessions = warm.assigned.sessions();
   const std::int64_t begin = 0;

@@ -458,16 +458,12 @@ ControllerEngine::Step ControllerEngine::next_step() const noexcept {
   const util::SimTime ta = next_arrival_time();
   const util::SimTime td = next_departure_time();
   const util::SimTime tf = flush_deadline();
-  if (injector_ == nullptr) {
-    // Legacy tie order: departures free capacity first, then arrivals
-    // join their batch, then due batches flush.
-    if (td <= ta && td <= tf) return {StepKind::kDeparture, td};
-    if (ta <= tf) return {StepKind::kArrival, ta};
-    return {StepKind::kFlush, tf};
-  }
-  // Fault-aware order: fault flips first (an AP that dies at t must not
-  // accept the batch due at t), then the legacy order, then due retries
-  // merge into the batch, then flushes.
+  // Fault flips first (an AP that dies at t must not accept the batch
+  // due at t), then departures free capacity, then arrivals join their
+  // batch, then due retries merge into it, then flushes. Without an
+  // injector the fault and retry times stay kNever, and !done() keeps
+  // one of td/ta/tf finite, so the order reduces to departures →
+  // arrivals → flush.
   const util::SimTime tfault = next_fault_time();
   const util::SimTime tr = next_retry_time();
   if (tfault != kNever && tfault <= td && tfault <= ta && tfault <= tr &&

@@ -14,9 +14,9 @@
 //   * run() — walk the domain's whole event stream (sharded mode, one
 //     engine per thread-pool task);
 //   * peek/process stepping — the ReplayDriver's sequential mode
-//     interleaves engines on a global clock, reproducing the historic
-//     single-threaded sim::replay() bit-for-bit, shared policy
-//     instance and all.
+//     interleaves engines on a global clock against one shared
+//     policy instance, reproducing the original single-threaded
+//     replay loop bit-for-bit.
 #pragma once
 
 #include <limits>
@@ -134,8 +134,8 @@ class ControllerEngine {
 
   /// The next event this engine would process — exactly the branch
   /// run() takes (fault flips, departures, arrivals, due retries,
-  /// flush; the legacy three-way order without an injector). kNone iff
-  /// done(). Pure; calling it repeatedly without applying is free.
+  /// flush). kNone iff done(). Pure; calling it repeatedly without
+  /// applying is free.
   Step next_step() const noexcept;
 
   /// Applies one step of the given kind and returns a cheap O(1) fold

@@ -12,10 +12,10 @@
 //   * run(factory)        — sharded, one policy instance per domain,
 //                           threads from ReplayDriverConfig;
 //   * run_sequential(...) — one shared policy instance observing every
-//                           domain's events in global time order; this
-//                           is the historic sim::replay() behavior
-//                           bit-for-bit, kept for stateful policies
-//                           that learn across domains and as the
+//                           domain's events in global time order; the
+//                           original single-threaded replay loop
+//                           bit-for-bit, for stateful policies that
+//                           learn across domains and as the
 //                           differential-testing reference.
 #pragma once
 

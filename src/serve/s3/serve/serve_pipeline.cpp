@@ -160,12 +160,14 @@ PlaceResult ServePipeline::place(const PlaceRequest& req) {
   if (result.overloaded) {
     forced_overloads_.fetch_add(1, std::memory_order_relaxed);
   }
-  util::metrics()
-      .histogram("serve.place_ns")
-      ->record(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count()));
+  // Resolved once: the registry lookup takes its mutex, and instruments
+  // are pointer-stable (reset() zeroes them, never frees them).
+  static util::Histogram* const place_ns =
+      util::metrics().histogram("serve.place_ns");
+  place_ns->record(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count()));
   return result;
 }
 

@@ -47,9 +47,9 @@ void SharedSocialModel::theta_row(UserId u, std::span<const UserId> vs,
 }
 
 namespace {
-/// Feed retention, matching core::OnlineSocialModel's: overflow drops
-/// the older half, and a consumer that skipped past the retained
-/// window gets an incomplete poll and reseeds.
+/// Feed retention: overflow drops the older half, and a consumer that
+/// skipped past the retained window gets an incomplete poll and
+/// reseeds.
 constexpr std::size_t kFeedCapacity = 1 << 16;
 }  // namespace
 

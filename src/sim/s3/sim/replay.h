@@ -1,11 +1,12 @@
-// Trace-driven replay: turns an unassigned workload into an assigned
-// trace under a selection policy (the paper's evaluation methodology,
-// §V-A).
+// Trace-driven replay vocabulary: the configuration, statistics and
+// result of turning an unassigned workload into an assigned trace under
+// a selection policy (the paper's evaluation methodology, §V-A). The
+// engine itself is runtime::ReplayDriver (s3/runtime/replay_driver.h).
 //
-// The engine walks the workload's arrival/departure events in time
-// order. Arrivals are queued per controller and dispatched to the
-// policy either immediately (dispatch_window == 0) or in batches when
-// the oldest pending request has waited dispatch_window seconds —
+// Replay walks the workload's arrival/departure events in time order.
+// Arrivals are queued per controller and dispatched to the policy
+// either immediately (dispatch_window == 0) or in batches when the
+// oldest pending request has waited dispatch_window seconds —
 // modelling a controller that aggregates association requests briefly
 // so that co-coming users can be placed jointly. No migration ever
 // happens after placement (user-friendliness requirement, §I).
@@ -67,18 +68,5 @@ struct ReplayResult {
   trace::Trace assigned;  ///< workload with every session's AP filled
   ReplayStats stats;
 };
-
-/// Replays `workload` on `net` under `policy`. The workload must be
-/// time-consistent (guaranteed by trace::Trace); sessions shorter than
-/// the dispatch window are still placed before their departure.
-///
-/// This is the shared-policy sequential entry point: a single policy
-/// instance observes every controller's events in global time order.
-/// It is defined by the s3lb::runtime library (a ReplayDriver in
-/// sequential mode — see s3/runtime/replay_driver.h); link
-/// s3lb::runtime to use it. For multi-threaded sharded replay, use
-/// runtime::ReplayDriver with a SelectorFactory directly.
-ReplayResult replay(const wlan::Network& net, const trace::Trace& workload,
-                    ApSelector& policy, const ReplayConfig& config = {});
 
 }  // namespace s3::sim

@@ -58,7 +58,9 @@ struct SocialModelConfig {
 /// train/from_parts, core::OnlineSocialModel assumes a single owning
 /// thread, and serve::SharedSocialModel supports fully concurrent
 /// lock-free reads against live counter updates. read_epoch() lets a
-/// caller tell which regime it observed.
+/// caller tell which regime it observed. Of the mutating providers only
+/// SharedSocialModel emits a ThetaDelta feed; OnlineSocialModel signals
+/// change through read_epoch() alone.
 class ThetaProvider {
  public:
   virtual ~ThetaProvider() = default;

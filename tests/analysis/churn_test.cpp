@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "s3/core/baselines.h"
-#include "s3/sim/replay.h"
+#include "s3/runtime/replay_driver.h"
 #include "s3/util/stats.h"
 #include "s3/trace/generator.h"
 #include "testing/mini.h"
@@ -67,7 +67,8 @@ TEST(AppDynamicsVariation, FixedUsersSmallVariation) {
   cfg.layout.aps_per_building = 6;
   const trace::GeneratedTrace g = trace::generate_campus_trace(cfg);
   core::LlfSelector llf;
-  const sim::ReplayResult r = sim::replay(g.network, g.workload, llf);
+  const sim::ReplayResult r =
+      runtime::ReplayDriver(g.network).run_sequential(g.workload, llf);
 
   AppDynamicsConfig ac;
   ac.begin = util::SimTime::from_days(1) + util::SimTime::from_hours(8);
@@ -109,7 +110,8 @@ TEST(UserChurnTimeline, TrafficTracksUsersOnGeneratedTrace) {
   cfg.layout.aps_per_building = 8;
   const trace::GeneratedTrace g = trace::generate_campus_trace(cfg);
   core::LlfSelector llf;
-  const sim::ReplayResult r = sim::replay(g.network, g.workload, llf);
+  const sim::ReplayResult r =
+      runtime::ReplayDriver(g.network).run_sequential(g.workload, llf);
   const UserChurnTimeline tl = user_churn_timeline(
       g.network, r.assigned, 0,
       util::SimTime::from_days(1) + util::SimTime::from_hours(8),

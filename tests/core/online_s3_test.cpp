@@ -45,6 +45,13 @@ TEST(OnlineSocialModel, LearnsCoLeavingPair) {
   EXPECT_DOUBLE_EQ(online.theta(0, 1), 1.0);
   // Untouched pairs still answer through the base.
   EXPECT_DOUBLE_EQ(online.theta(2, 3), 0.0);
+  // No delta feed: the inherited poll reports the mutations as an
+  // incomplete suffix ending at the current epoch (graph.h contract).
+  std::vector<social::ThetaDelta> deltas;
+  const social::ThetaDeltaPoll poll = online.poll_theta_deltas(0, deltas);
+  EXPECT_FALSE(poll.complete);
+  EXPECT_EQ(poll.cursor, online.read_epoch());
+  EXPECT_TRUE(deltas.empty());
 }
 
 TEST(OnlineSocialModel, EncounterWithoutCoLeave) {
@@ -162,7 +169,8 @@ TEST(OnlineSocialModel, AgreesWithOfflineExtractorExactly) {
   const trace::GeneratedTrace g = trace::generate_campus_trace(cfg);
 
   core::LlfSelector llf;
-  const sim::ReplayResult run = sim::replay(g.network, g.workload, llf);
+  const sim::ReplayResult run =
+      runtime::ReplayDriver(g.network).run_sequential(g.workload, llf);
 
   // Offline.
   analysis::EventExtractionConfig windows;
@@ -240,7 +248,8 @@ TEST(OnlineS3Selector, EndToEndReplayLearns) {
   const trace::Trace rest = world.workload.slice(
       util::SimTime::from_days(1), util::SimTime::from_days(10));
   const sim::ReplayResult r =
-      sim::replay(world.network, rest, online, eval.replay);
+      runtime::ReplayDriver(world.network, {.replay = eval.replay})
+          .run_sequential(rest, online);
   EXPECT_TRUE(r.assigned.fully_assigned());
   // The live model accumulated relationships the 1-day base missed.
   EXPECT_GT(online.model().updated_pairs(), base.pair_stats().size());

@@ -82,7 +82,7 @@ TEST(Integration, AnalysisChainOnAssignedTrace) {
   const auto world = make_world(6);
   core::LlfSelector llf;
   const sim::ReplayResult r =
-      sim::replay(world.network, world.workload, llf);
+      runtime::ReplayDriver(world.network).run_sequential(world.workload, llf);
   ASSERT_TRUE(r.assigned.fully_assigned());
 
   // Event extraction and profile building run cleanly on the result.
@@ -133,7 +133,8 @@ TEST(Integration, S3NeverViolatesCandidates) {
   const trace::Trace test = world.workload.slice(
       util::SimTime::from_days(8), util::SimTime::from_days(10));
   const sim::ReplayResult r =
-      sim::replay(world.network, test, s3, eval.replay);
+      runtime::ReplayDriver(world.network, {.replay = eval.replay})
+          .run_sequential(test, s3);
   for (const trace::SessionRecord& s : r.assigned.sessions()) {
     const auto cands = wlan::candidate_aps(world.network, eval.replay.radio,
                                            s.building, s.pos);

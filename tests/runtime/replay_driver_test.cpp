@@ -8,7 +8,6 @@
 
 #include "s3/core/evaluation.h"
 #include "s3/core/selector_factory.h"
-#include "s3/sim/replay.h"
 #include "s3/trace/generator.h"
 #include "s3/util/metrics.h"
 #include "testing/mini.h"
@@ -97,15 +96,6 @@ TEST(ReplayDriver, SequentialMatchesShardedForStatelessPolicy) {
   const ReplayDriver driver(w.network);
   expect_identical(driver.run(w.workload, f),
                    driver.run_sequential(w.workload, shared));
-}
-
-TEST(ReplayDriver, CompatShimIsTheSequentialDriver) {
-  const trace::GeneratedTrace& w = shared_world();
-  core::LlfSelector a, b;
-  const sim::ReplayResult via_shim = sim::replay(w.network, w.workload, a);
-  const sim::ReplayResult via_driver =
-      ReplayDriver(w.network).run_sequential(w.workload, b);
-  expect_identical(via_shim, via_driver);
 }
 
 TEST(ReplayDriver, EffectiveThreadsResolvesZeroToAtLeastOne) {

@@ -19,6 +19,7 @@
 #include "s3/fault/fault_plan.h"
 #include "s3/serve/line_protocol.h"
 #include "s3/serve/serve_pipeline.h"
+#include "s3/social/clique_maintainer.h"
 #include "s3/trace/generator.h"
 #include "s3/util/metrics.h"
 
@@ -210,6 +211,73 @@ TEST(SharedSocialModel, BitIdenticalWithOnlineModelOnSameEvents) {
       shared.poll_theta_deltas(poll.cursor, deltas);
   EXPECT_TRUE(again.complete);
   EXPECT_TRUE(deltas.empty());
+}
+
+// An external CliqueMaintainer kept in sync through the shared model's
+// ThetaDelta feed follows live events without reseeding, and its cover
+// stays bitwise-identical to a from-scratch solve.
+TEST(SharedSocialModel, CliqueMaintainerSyncFollowsLiveDeltas) {
+  const World& w = world();
+  ServeConfig cfg;
+  cfg.policy = "rssi";  // deterministic, model-independent placements
+  ServePipeline pipeline(&w.gen.network, &w.model, cfg);
+  const SharedSocialModel& shared = pipeline.model();
+  const auto expect_cover_matches_scratch = [](social::CliqueMaintainer& m) {
+    const social::CliqueCoverResult scratch = m.solve_from_scratch();
+    const social::CliqueCoverResult& cover = m.cover();
+    ASSERT_EQ(cover.cliques, scratch.cliques);
+    ASSERT_EQ(cover.exact, scratch.exact);
+    ASSERT_EQ(cover.nodes_explored, scratch.nodes_explored);
+  };
+
+  social::CliqueMaintainer m;
+  EXPECT_FALSE(m.sync(shared));  // first contact: reseed
+
+  // Random arrive/depart schedule with long stays, synced every 97
+  // steps: each sync must drain the feed without reseeding.
+  std::vector<std::uint64_t> active;
+  std::uint64_t rng = 5;
+  const auto next = [&rng]() {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    return rng;
+  };
+  std::int64_t now = 0;
+  std::uint64_t next_id = 1;
+  for (int step = 0; step < 1500; ++step) {
+    now += 30 + static_cast<std::int64_t>(next() % 90);
+    if (active.size() > 25 || (!active.empty() && next() % 3 == 0)) {
+      const auto victim = active.begin() + static_cast<std::ptrdiff_t>(
+                                               next() % active.size());
+      ASSERT_TRUE(pipeline.depart(*victim, util::SimTime::from_seconds(now)));
+      active.erase(victim);
+    } else {
+      const UserId user = static_cast<UserId>(next() % w.model.num_users());
+      const BuildingId b = static_cast<BuildingId>(next() % 2);
+      ASSERT_TRUE(pipeline.place(request(next_id, user, b, now)).placed);
+      active.push_back(next_id++);
+    }
+    if (step % 97 == 96) {
+      EXPECT_TRUE(m.sync(shared));
+      expect_cover_matches_scratch(m);
+    }
+  }
+  EXPECT_GT(shared.updated_pairs(), 0U)
+      << "schedule produced no social events — test is vacuous";
+  EXPECT_TRUE(m.sync(shared));
+  EXPECT_EQ(m.stats().reseeds, 1U);
+  EXPECT_GT(m.stats().deltas_applied, 0U);
+  expect_cover_matches_scratch(m);
+
+  // Spot-check the mirror against the provider's current θ.
+  for (UserId u = 0; u < m.num_users(); ++u) {
+    for (const social::CliqueMaintainer::Neighbor& nb : m.neighbors(u)) {
+      if (nb.id > u) {
+        EXPECT_EQ(nb.weight, shared.theta(u, nb.id));
+      }
+    }
+  }
 }
 
 // The pipeline-level maintainer consumes the shared model's ThetaDelta

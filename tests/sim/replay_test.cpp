@@ -1,4 +1,4 @@
-#include "s3/sim/replay.h"
+#include "s3/runtime/replay_driver.h"
 
 #include <gtest/gtest.h>
 
@@ -36,7 +36,8 @@ TEST(Replay, AssignsEverySession) {
       SessionSpec{.user = 2, .connect_s = 60, .disconnect_s = 1200},
   });
   core::LlfSelector llf;
-  const ReplayResult r = replay(net, workload, llf);
+  const ReplayResult r =
+      runtime::ReplayDriver(net).run_sequential(workload, llf);
   EXPECT_TRUE(r.assigned.fully_assigned());
   EXPECT_EQ(r.stats.num_sessions, 3u);
   EXPECT_EQ(r.assigned.size(), workload.size());
@@ -50,11 +51,12 @@ TEST(Replay, ChosenApAlwaysInCandidates) {
   cfg.layout.aps_per_building = 6;
   const trace::GeneratedTrace g = trace::generate_campus_trace(cfg);
   core::LlfSelector llf;
-  ReplayConfig rc;
-  const ReplayResult r = replay(g.network, g.workload, llf, rc);
+  runtime::ReplayDriverConfig rc;
+  const ReplayResult r =
+      runtime::ReplayDriver(g.network, rc).run_sequential(g.workload, llf);
   for (const trace::SessionRecord& s : r.assigned.sessions()) {
     const auto cands =
-        wlan::candidate_aps(g.network, rc.radio, s.building, s.pos);
+        wlan::candidate_aps(g.network, rc.replay.radio, s.building, s.pos);
     EXPECT_NE(std::find(cands.begin(), cands.end(), s.ap), cands.end());
   }
 }
@@ -67,8 +69,10 @@ TEST(Replay, DeterministicAcrossRuns) {
   cfg.layout.aps_per_building = 5;
   const trace::GeneratedTrace g = trace::generate_campus_trace(cfg);
   core::LlfSelector llf1, llf2;
-  const ReplayResult a = replay(g.network, g.workload, llf1);
-  const ReplayResult b = replay(g.network, g.workload, llf2);
+  const ReplayResult a =
+      runtime::ReplayDriver(g.network).run_sequential(g.workload, llf1);
+  const ReplayResult b =
+      runtime::ReplayDriver(g.network).run_sequential(g.workload, llf2);
   for (std::size_t i = 0; i < a.assigned.size(); ++i) {
     EXPECT_EQ(a.assigned.session(i).ap, b.assigned.session(i).ap);
   }
@@ -82,9 +86,10 @@ TEST(Replay, ImmediateDispatchWithZeroWindow) {
       SessionSpec{.user = 2, .connect_s = 1, .disconnect_s = 600},
   });
   RecordingSelector rec;
-  ReplayConfig rc;
-  rc.dispatch_window_s = 0;
-  const ReplayResult r = replay(net, workload, rec, rc);
+  runtime::ReplayDriverConfig rc;
+  rc.replay.dispatch_window_s = 0;
+  const ReplayResult r =
+      runtime::ReplayDriver(net, rc).run_sequential(workload, rec);
   EXPECT_EQ(r.stats.num_batches, 3u);  // one batch per arrival
   EXPECT_EQ(r.stats.max_batch_size, 1u);
 }
@@ -98,9 +103,10 @@ TEST(Replay, WindowBatchesCoArrivals) {
       SessionSpec{.user = 3, .connect_s = 500, .disconnect_s = 1200},
   });
   RecordingSelector rec;
-  ReplayConfig rc;
-  rc.dispatch_window_s = 60;
-  const ReplayResult r = replay(net, workload, rec, rc);
+  runtime::ReplayDriverConfig rc;
+  rc.replay.dispatch_window_s = 60;
+  const ReplayResult r =
+      runtime::ReplayDriver(net, rc).run_sequential(workload, rec);
   // First three arrive within one window; the fourth after the flush.
   EXPECT_EQ(r.stats.num_batches, 2u);
   EXPECT_EQ(r.stats.max_batch_size, 3u);
@@ -122,9 +128,10 @@ TEST(Replay, DepartureFreesCapacityBeforeArrivalAtSameInstant) {
                   .demand_mbps = 18.0},
   });
   core::LlfSelector llf;
-  ReplayConfig rc;
-  rc.dispatch_window_s = 0;
-  const ReplayResult r = replay(net, workload, llf, rc);
+  runtime::ReplayDriverConfig rc;
+  rc.replay.dispatch_window_s = 0;
+  const ReplayResult r =
+      runtime::ReplayDriver(net, rc).run_sequential(workload, llf);
   EXPECT_EQ(r.stats.forced_overloads, 0u);
 }
 
@@ -141,9 +148,10 @@ TEST(Replay, ForcedOverloadCounted) {
                   .demand_mbps = 4.0},
   });
   core::LlfSelector llf;
-  ReplayConfig rc;
-  rc.dispatch_window_s = 0;
-  const ReplayResult r = replay(net, workload, llf, rc);
+  runtime::ReplayDriverConfig rc;
+  rc.replay.dispatch_window_s = 0;
+  const ReplayResult r =
+      runtime::ReplayDriver(net, rc).run_sequential(workload, llf);
   EXPECT_EQ(r.stats.forced_overloads, 1u);
 }
 
@@ -154,9 +162,9 @@ TEST(Replay, ArrivalContextFields) {
                   .demand_mbps = 2.5},
   });
   RecordingSelector rec;
-  ReplayConfig rc;
-  rc.dispatch_window_s = 0;
-  replay(net, workload, rec, rc);
+  runtime::ReplayDriverConfig rc;
+  rc.replay.dispatch_window_s = 0;
+  runtime::ReplayDriver(net, rc).run_sequential(workload, rec);
   ASSERT_EQ(rec.arrivals.size(), 1u);
   const Arrival& a = rec.arrivals[0];
   EXPECT_EQ(a.user, 1u);
@@ -173,7 +181,7 @@ TEST(Replay, DisconnectNotificationsDelivered) {
       SessionSpec{.user = 1, .connect_s = 10, .disconnect_s = 800},
   });
   RecordingSelector rec;
-  replay(net, workload, rec);
+  runtime::ReplayDriver(net).run_sequential(workload, rec);
   ASSERT_EQ(rec.disconnects.size(), 2u);
   EXPECT_EQ(rec.disconnects[0].seconds(), 600);
   EXPECT_EQ(rec.disconnects[1].seconds(), 800);
@@ -190,9 +198,11 @@ TEST(Replay, LlfSpreadsSimultaneousBurst) {
   }
   const auto workload = make_trace(4, specs);
   core::LlfSelector llf;
-  ReplayConfig rc;
-  rc.radio.association_threshold_dbm = -75.0;  // whole building audible
-  const ReplayResult r = replay(net, workload, llf, rc);
+  runtime::ReplayDriverConfig rc;
+  // Whole building audible.
+  rc.replay.radio.association_threshold_dbm = -75.0;
+  const ReplayResult r =
+      runtime::ReplayDriver(net, rc).run_sequential(workload, llf);
   std::set<ApId> used;
   for (const trace::SessionRecord& s : r.assigned.sessions()) {
     used.insert(s.ap);
@@ -204,7 +214,8 @@ TEST(Replay, EmptyWorkload) {
   const auto net = mini_network(2);
   const trace::Trace workload(1, 1, {});
   core::LlfSelector llf;
-  const ReplayResult r = replay(net, workload, llf);
+  const ReplayResult r =
+      runtime::ReplayDriver(net).run_sequential(workload, llf);
   EXPECT_EQ(r.stats.num_sessions, 0u);
   EXPECT_EQ(r.stats.num_batches, 0u);
   EXPECT_DOUBLE_EQ(r.stats.mean_batch_size, 0.0);
@@ -214,9 +225,10 @@ TEST(Replay, RejectsNegativeWindow) {
   const auto net = mini_network(2);
   const trace::Trace workload(1, 1, {});
   core::LlfSelector llf;
-  ReplayConfig rc;
-  rc.dispatch_window_s = -1;
-  EXPECT_THROW(replay(net, workload, llf, rc), std::invalid_argument);
+  runtime::ReplayDriverConfig rc;
+  rc.replay.dispatch_window_s = -1;
+  EXPECT_THROW(runtime::ReplayDriver(net, rc).run_sequential(workload, llf),
+               std::invalid_argument);
 }
 
 }  // namespace
