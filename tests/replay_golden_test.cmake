@@ -84,6 +84,8 @@ set(GOLDEN_s3_faults
   2afa67f16d5160d136864ab49a296958424524469ded16113ac0eeab24e69707)
 set(GOLDEN_llf_replicated
   2632993e6055001945cde4b67024092dec566fec81ce5f04af2a32440664733d)
+set(GOLDEN_s3_online_replicated
+  36de5a3544966b2050a2030871e0e95b6d18b6199eb4bca7449ea495a4100040)
 
 foreach(threads 1 4)
   run_cli(replay --in "${WORK}/w.csv" --out "${WORK}/llf_t${threads}.csv"
@@ -119,4 +121,17 @@ foreach(threads 1 4)
   expect_sha256(llf_replicated_t${threads}
                 "${WORK}/llf_replicated_t${threads}.csv"
                 ${GOLDEN_llf_replicated})
+
+  # Live-learning replicas: backups catch up from snapshots of the
+  # online selector (its clone()), so a failover hands over the learnt
+  # social state mid-stream.
+  run_cli(replay --in "${WORK}/w.csv"
+          --out "${WORK}/s3_online_replicated_t${threads}.csv"
+          --policy s3-online --model "${WORK}/model.txt" ${TOPO}
+          --replicas 1 --snapshot-every 64
+          --fault-plan "${WORK}/controller_outage.txt" --fault-seed 9
+          --threads ${threads})
+  expect_sha256(s3_online_replicated_t${threads}
+                "${WORK}/s3_online_replicated_t${threads}.csv"
+                ${GOLDEN_s3_online_replicated})
 endforeach()
