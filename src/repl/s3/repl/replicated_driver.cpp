@@ -1,18 +1,10 @@
 #include "s3/repl/replicated_driver.h"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
 #include <memory>
-#include <thread>
 
-#include "s3/check/contract.h"
-#include "s3/check/validators.h"
 #include "s3/repl/failover_ledger.h"
-#include "s3/runtime/error_collector.h"
 #include "s3/runtime/replay_driver.h"
-#include "s3/runtime/shard_stats_board.h"
-#include "s3/util/thread_annotations.h"
 
 namespace s3::repl {
 
@@ -29,71 +21,31 @@ ReplicatedReplayDriver::ReplicatedReplayDriver(const wlan::Network& net,
 }
 
 unsigned ReplicatedReplayDriver::effective_threads() const noexcept {
-  if (config_.threads > 0) return config_.threads;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
+  return runtime::resolve_threads(config_.threads);
 }
 
 ReplicatedReplayResult ReplicatedReplayDriver::run(
     const trace::Trace& workload, const sim::SelectorFactory& factory) const {
-  if (check::contracts_enabled()) {
-    check::validate_trace(workload, net_);
-  }
-
-  std::vector<std::vector<std::size_t>> shards(net_->num_controllers());
-  const auto sessions = workload.sessions();
-  for (std::size_t i = 0; i < sessions.size(); ++i) {
-    const ControllerId c = net_->controller_of_building(sessions[i].building);
-    shards[c].push_back(i);
-  }
-
-  // One group per non-empty domain, in controller order so policy
-  // construction never depends on thread schedule.
-  std::vector<std::unique_ptr<ReplicationGroup>> groups;
-  for (ControllerId c = 0; c < shards.size(); ++c) {
-    if (shards[c].empty()) continue;
-    groups.push_back(std::make_unique<ReplicationGroup>(
-        *net_, workload, c, std::move(shards[c]), factory, config_.replay,
-        *config_.injector, config_.recovery, config_.repl));
-  }
-
-  // Groups stream failover events into the ledger as they promote and
-  // post their acting primary's stats to the board as they finish; both
-  // hand back canonically ordered snapshots after the join, so the
-  // merge never depends on thread schedule.
+  // One group per non-empty domain. Groups stream failover events into
+  // the ledger as they promote; it hands back a canonically ordered
+  // snapshot after the join, so the merge never depends on thread
+  // schedule.
   FailoverLedger ledger;
-  runtime::ShardStatsBoard board;
-  for (auto& g : groups) g->set_failover_ledger(&ledger);
-
-  const unsigned workers = std::min<unsigned>(
-      effective_threads(), static_cast<unsigned>(groups.size()));
-  if (workers <= 1) {
-    for (auto& g : groups) {
-      g->run();
-      board.record(g->domain(), g->stats());
-    }
-  } else {
-    std::atomic<std::size_t> next{0};
-    runtime::ErrorCollector errors;
-    auto work = [&]() {
-      for (std::size_t i = next.fetch_add(1); i < groups.size();
-           i = next.fetch_add(1)) {
-        try {
-          groups[i]->run();
-          board.record(groups[i]->domain(), groups[i]->stats());
-        } catch (...) {
-          errors.capture(std::current_exception());
-        }
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w) pool.emplace_back(work);
-    for (std::thread& t : pool) t.join();
-    if (std::exception_ptr first = errors.take()) {
-      std::rethrow_exception(first);
-    }
-  }
+  std::vector<std::unique_ptr<ReplicationGroup>> groups;
+  const std::vector<sim::ReplayStats> stats = runtime::run_sharded(
+      *net_, workload, config_.threads,
+      [&](ControllerId c,
+          std::vector<std::size_t> sessions) -> runtime::DomainRun {
+        groups.push_back(std::make_unique<ReplicationGroup>(
+            *net_, workload, c, std::move(sessions), factory, config_.replay,
+            *config_.injector, config_.recovery, config_.repl));
+        ReplicationGroup* group = groups.back().get();
+        group->set_failover_ledger(&ledger);
+        return [group] {
+          group->run();
+          return group->stats();
+        };
+      });
 
   // Merge after the join, sequentially, in controller order: each group
   // publishes into its own disjoint assignment slots.
@@ -124,7 +76,7 @@ ReplicatedReplayResult ReplicatedReplayDriver::run(
   }
   out.failovers = ledger.events();
   out.result = sim::ReplayResult{workload.with_assignments(assignment),
-                                 runtime::merge_stats(board.in_domain_order())};
+                                 runtime::merge_stats(stats)};
   return out;
 }
 

@@ -386,7 +386,6 @@ void ReplicationGroup::run_headless(const util::TimeInterval& window) {
   ev.when = window.begin;
   ev.promoted_replica = primary_index_;
   ev.new_term = r.term;
-  ev.headless = true;
   ev.kind = FailoverKind::kHeadless;
   record_failover(ev);
 }

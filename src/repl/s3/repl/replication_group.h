@@ -113,9 +113,6 @@ struct FailoverEvent {
   /// bit-identical to the crashed primary. Always true for a correct
   /// build; recorded so benches and tests can assert it.
   bool converged = true;
-  /// Headless restart (no backup existed) rather than a promotion.
-  /// Kept alongside `kind` for older callers; == (kind == kHeadless).
-  bool headless = false;
   FailoverKind kind = FailoverKind::kPromotion;
   /// Neighbor controller serving the domain (adoption/hand-back only).
   ControllerId adopter = kInvalidController;

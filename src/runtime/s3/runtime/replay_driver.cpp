@@ -1,5 +1,6 @@
 #include "s3/runtime/replay_driver.h"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <memory>
@@ -7,8 +8,6 @@
 
 #include "s3/check/contract.h"
 #include "s3/check/validators.h"
-#include "s3/runtime/error_collector.h"
-#include "s3/runtime/shard_stats_board.h"
 #include "s3/util/thread_annotations.h"
 
 namespace s3::runtime {
@@ -22,6 +21,36 @@ void check_workload(const wlan::Network& net, const trace::Trace& workload) {
   if (!check::contracts_enabled()) return;
   check::validate_trace(workload, &net);
 }
+
+/// Session indices per controller domain (index = controller id).
+std::vector<std::vector<std::size_t>> shard_sessions(
+    const wlan::Network& net, const trace::Trace& workload) {
+  std::vector<std::vector<std::size_t>> shards(net.num_controllers());
+  const auto sessions = workload.sessions();
+  for (std::size_t i = 0; i < sessions.size(); ++i) {
+    const ControllerId c = net.controller_of_building(sessions[i].building);
+    shards[c].push_back(i);
+  }
+  return shards;
+}
+
+/// First-error capture for the worker pool: the first exception any
+/// worker threw, handed back after the join.
+class ErrorCollector {
+ public:
+  void capture(std::exception_ptr error) S3_EXCLUDES(mu_) {
+    util::MutexLock lock(mu_);
+    if (!first_) first_ = std::move(error);
+  }
+  std::exception_ptr take() S3_EXCLUDES(mu_) {
+    util::MutexLock lock(mu_);
+    return first_;
+  }
+
+ private:
+  util::Mutex mu_;
+  std::exception_ptr first_ S3_GUARDED_BY(mu_);
+};
 
 }  // namespace
 
@@ -53,6 +82,54 @@ sim::ReplayStats merge_stats(std::span<const sim::ReplayStats> shards) {
   return merged;
 }
 
+unsigned resolve_threads(unsigned requested) noexcept {
+  if (requested > 0) return requested;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? hw : 1;
+}
+
+std::vector<sim::ReplayStats> run_sharded(
+    const wlan::Network& net, const trace::Trace& workload, unsigned threads,
+    const std::function<DomainRun(ControllerId, std::vector<std::size_t>)>&
+        make) {
+  check_workload(net, workload);
+  std::vector<std::vector<std::size_t>> shards = shard_sessions(net, workload);
+  std::vector<DomainRun> runs;
+  for (ControllerId c = 0; c < shards.size(); ++c) {
+    if (!shards[c].empty()) runs.push_back(make(c, std::move(shards[c])));
+  }
+
+  // Each run writes only its own slot, and the slots are in controller
+  // order, so the merge is identical for every thread count.
+  std::vector<sim::ReplayStats> stats(runs.size());
+  const unsigned workers = std::min<unsigned>(
+      resolve_threads(threads), static_cast<unsigned>(runs.size()));
+  if (workers <= 1) {
+    for (std::size_t i = 0; i < runs.size(); ++i) stats[i] = runs[i]();
+    return stats;
+  }
+  std::atomic<std::size_t> next{0};
+  ErrorCollector errors;
+  auto work = [&]() {
+    for (std::size_t i = next.fetch_add(1); i < runs.size();
+         i = next.fetch_add(1)) {
+      try {
+        stats[i] = runs[i]();
+      } catch (...) {
+        errors.capture(std::current_exception());
+      }
+    }
+  };
+  std::vector<std::thread> pool;
+  pool.reserve(workers);
+  for (unsigned w = 0; w < workers; ++w) pool.emplace_back(work);
+  for (std::thread& t : pool) t.join();
+  if (std::exception_ptr first = errors.take()) {
+    std::rethrow_exception(first);
+  }
+  return stats;
+}
+
 ReplayDriver::ReplayDriver(const wlan::Network& net, ReplayDriverConfig config)
     : net_(&net), config_(config) {
   S3_REQUIRE(config_.replay.dispatch_window_s >= 0,
@@ -60,20 +137,7 @@ ReplayDriver::ReplayDriver(const wlan::Network& net, ReplayDriverConfig config)
 }
 
 unsigned ReplayDriver::effective_threads() const noexcept {
-  if (config_.threads > 0) return config_.threads;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
-}
-
-std::vector<std::vector<std::size_t>> ReplayDriver::shard_sessions(
-    const trace::Trace& workload) const {
-  std::vector<std::vector<std::size_t>> shards(net_->num_controllers());
-  const auto sessions = workload.sessions();
-  for (std::size_t i = 0; i < sessions.size(); ++i) {
-    const ControllerId c = net_->controller_of_building(sessions[i].building);
-    shards[c].push_back(i);
-  }
-  return shards;
+  return resolve_threads(config_.threads);
 }
 
 sim::ReplayResult ReplayDriver::run(const trace::Trace& workload,
@@ -86,61 +150,27 @@ sim::ReplayResult ReplayDriver::run(const trace::Trace& workload,
                   config_.injector->plan().controller_losses.empty()),
              "ReplayDriver: controller-outage/loss plans require the "
              "replicated driver (s3/repl/replicated_driver.h)");
-  check_workload(*net_, workload);
-  std::vector<std::vector<std::size_t>> shards = shard_sessions(workload);
   std::vector<ApId> assignment(workload.size(), kInvalidAp);
-
-  // One policy + engine per non-empty domain, in controller order so
-  // that policy construction (seed derivation, model wiring) never
-  // depends on thread schedule.
+  // One policy + engine per non-empty domain.
   std::vector<std::unique_ptr<sim::ApSelector>> policies;
   std::vector<std::unique_ptr<ControllerEngine>> engines;
-  for (ControllerId c = 0; c < shards.size(); ++c) {
-    if (shards[c].empty()) continue;
-    policies.push_back(factory.create(c));
-    S3_ASSERT(policies.back() != nullptr,
-              "ReplayDriver: factory returned a null policy");
-    engines.push_back(std::make_unique<ControllerEngine>(
-        *net_, workload, c, std::move(shards[c]), *policies.back(),
-        config_.replay, assignment, config_.injector, config_.recovery));
-  }
-
-  // Each worker posts its engine's stats to the board the moment that
-  // engine finishes; the board hands them back in controller order, so
-  // the merge below is identical for every thread count.
-  ShardStatsBoard board;
-  const unsigned workers = std::min<unsigned>(
-      effective_threads(), static_cast<unsigned>(engines.size()));
-  if (workers <= 1) {
-    for (auto& e : engines) {
-      e->run();
-      board.record(e->domain(), e->stats());
-    }
-  } else {
-    std::atomic<std::size_t> next{0};
-    ErrorCollector errors;
-    auto work = [&]() {
-      for (std::size_t i = next.fetch_add(1); i < engines.size();
-           i = next.fetch_add(1)) {
-        try {
-          engines[i]->run();
-          board.record(engines[i]->domain(), engines[i]->stats());
-        } catch (...) {
-          errors.capture(std::current_exception());
-        }
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w) pool.emplace_back(work);
-    for (std::thread& t : pool) t.join();
-    if (std::exception_ptr first = errors.take()) {
-      std::rethrow_exception(first);
-    }
-  }
-
+  const std::vector<sim::ReplayStats> stats = run_sharded(
+      *net_, workload, config_.threads,
+      [&](ControllerId c, std::vector<std::size_t> sessions) -> DomainRun {
+        policies.push_back(factory.create(c));
+        S3_ASSERT(policies.back() != nullptr,
+                  "ReplayDriver: factory returned a null policy");
+        engines.push_back(std::make_unique<ControllerEngine>(
+            *net_, workload, c, std::move(sessions), *policies.back(),
+            config_.replay, assignment, config_.injector, config_.recovery));
+        ControllerEngine* engine = engines.back().get();
+        return [engine] {
+          engine->run();
+          return engine->stats();
+        };
+      });
   return sim::ReplayResult{workload.with_assignments(assignment),
-                           merge_stats(board.in_domain_order())};
+                           merge_stats(stats)};
 }
 
 sim::ReplayResult ReplayDriver::run_sequential(const trace::Trace& workload,
@@ -150,7 +180,8 @@ sim::ReplayResult ReplayDriver::run_sequential(const trace::Trace& workload,
   S3_REQUIRE(config_.injector == nullptr,
              "run_sequential: fault injection requires sharded run()");
   check_workload(*net_, workload);
-  std::vector<std::vector<std::size_t>> shards = shard_sessions(workload);
+  std::vector<std::vector<std::size_t>> shards =
+      shard_sessions(*net_, workload);
   std::vector<ApId> assignment(workload.size(), kInvalidAp);
 
   std::vector<std::unique_ptr<ControllerEngine>> engines;

@@ -19,6 +19,8 @@
 //                           differential-testing reference.
 #pragma once
 
+#include <functional>
+
 #include "s3/runtime/controller_engine.h"
 
 namespace s3::runtime {
@@ -44,6 +46,25 @@ struct ReplayDriverConfig {
 /// controller order). Guards the mean against num_batches == 0.
 sim::ReplayStats merge_stats(std::span<const sim::ReplayStats> shards);
 
+/// Worker threads for a requested count; 0 = hardware_concurrency().
+unsigned resolve_threads(unsigned requested) noexcept;
+
+/// Runs one domain's share of a sharded replay; returns its stats.
+using DomainRun = std::function<sim::ReplayStats()>;
+
+/// The sharded pass both drivers share (ReplayDriver::run and
+/// repl::ReplicatedReplayDriver::run). Checks `workload` when contracts
+/// are enabled, partitions its sessions by controller domain, and calls
+/// `make(domain, sessions)` once per non-empty domain in controller
+/// order, so construction never depends on thread schedule. The
+/// returned runs execute on min(resolve_threads(threads), domains)
+/// workers; the first exception one throws is rethrown after the join.
+/// Returns the per-domain stats in controller order.
+std::vector<sim::ReplayStats> run_sharded(
+    const wlan::Network& net, const trace::Trace& workload, unsigned threads,
+    const std::function<DomainRun(ControllerId, std::vector<std::size_t>)>&
+        make);
+
 class ReplayDriver {
  public:
   /// `net` must outlive the driver.
@@ -68,9 +89,6 @@ class ReplayDriver {
   const ReplayDriverConfig& config() const noexcept { return config_; }
 
  private:
-  std::vector<std::vector<std::size_t>> shard_sessions(
-      const trace::Trace& workload) const;
-
   const wlan::Network* net_;
   ReplayDriverConfig config_;
 };
