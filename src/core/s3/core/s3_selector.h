@@ -86,7 +86,7 @@ class S3Selector final : public sim::ApSelector {
   /// `net` and `model` must outlive the selector. The network is used
   /// to evaluate the balance index over whole controller domains when
   /// tie-breaking clique distributions. `model` is any ThetaProvider —
-  /// a frozen trained SocialIndexModel or a live OnlineSocialModel —
+  /// a frozen trained SocialIndexModel or a live SharedSocialModel —
   /// probed afresh each batch; no θ-derived state outlives a batch.
   S3Selector(const wlan::Network* net, const social::ThetaProvider* model,
              S3Config config = {});

@@ -1,11 +1,12 @@
 // Sharded replay driver with replicated controllers.
 //
-// Same decomposition as runtime::ReplayDriver — one controller domain
-// per thread-pool task — but each domain is a ReplicationGroup (one
-// primary + N backup engines) instead of a bare engine, so the replay
-// survives the injector's controller-outage windows: with backups the
-// run is lossless (bit-identical to an outage-free run), without them
-// the domain rides each window headless and the drops are counted.
+// Same sharded pass as runtime::ReplayDriver (runtime::run_sharded:
+// one controller domain per pool task), but each domain is a
+// ReplicationGroup (one primary + N backup engines) instead of a bare
+// engine, so the replay survives the injector's controller-outage
+// windows: with backups the run is lossless (bit-identical to an
+// outage-free run), without them the domain rides each window headless
+// and the drops are counted.
 //
 // Results stay thread-count invariant: groups share no mutable state,
 // the injector is immutable, and each group's election/catch-up logic

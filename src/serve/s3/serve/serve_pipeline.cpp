@@ -47,7 +47,7 @@ ServePipeline::ServePipeline(const wlan::Network* net,
     d->selector = factory->create(c);
     d->tracker = std::make_unique<sim::ApLoadTracker>(*net_);
     domains_.push_back(std::move(d));
-    presence_.push_back(std::make_unique<PresenceTable>(
+    presence_.push_back(std::make_unique<social::PresenceTable>(
         config_.co_leave_window, config_.min_encounter_overlap));
   }
 }
@@ -187,17 +187,11 @@ bool ServePipeline::depart(std::uint64_t id, util::SimTime when) {
     d.selector->on_disconnect(s->session_index, s->user, s->ap, when);
   }
 
-  // Mirrors core::OnlineSocialModel::on_disconnect: the presence table
-  // reports who was met, and the detected events go to the shared
-  // store here, outside both the domain and the presence lock.
-  const PresenceTable::DepartureEvents events =
-      presence_[s->domain]->depart(s->ap, s->session_index, when);
-  for (const UserId peer : events.encountered) {
-    shared_.record_encounter(events.user, peer);
-  }
-  for (const UserId peer : events.co_left) {
-    shared_.record_co_leave(events.user, peer);
-  }
+  // The presence table reports who was met, and the detected events go
+  // to the shared store here, outside both the domain and the presence
+  // lock.
+  shared_.record_departure(
+      presence_[s->domain]->depart(s->ap, s->session_index, when));
 
   if (s->user < user_ap_.size()) {
     user_ap_[s->user].store(kInvalidAp, std::memory_order_relaxed);

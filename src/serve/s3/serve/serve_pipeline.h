@@ -37,10 +37,10 @@
 #include "s3/fault/degradation.h"
 #include "s3/fault/fault_injector.h"
 #include "s3/fault/health_board.h"
-#include "s3/serve/presence_table.h"
 #include "s3/serve/session_registry.h"
-#include "s3/serve/shared_social_model.h"
 #include "s3/social/clique_maintainer.h"
+#include "s3/social/presence_table.h"
+#include "s3/social/shared_social_model.h"
 #include "s3/sim/load_state.h"
 #include "s3/sim/selector.h"
 #include "s3/util/thread_annotations.h"
@@ -144,7 +144,7 @@ class ServePipeline {
   /// for ids that are not active.
   bool depart(std::uint64_t id, util::SimTime when);
 
-  const SharedSocialModel& model() const noexcept { return shared_; }
+  const social::SharedSocialModel& model() const noexcept { return shared_; }
   const wlan::Network& network() const noexcept { return *net_; }
   std::size_t num_domains() const noexcept { return domains_.size(); }
 
@@ -173,13 +173,13 @@ class ServePipeline {
 
   const wlan::Network* net_;
   ServeConfig config_;
-  SharedSocialModel shared_;
+  social::SharedSocialModel shared_;
   std::vector<std::unique_ptr<Domain>> domains_;
   /// id -> live session, sharded (see SessionRegistry's protocol).
   SessionRegistry registry_;
   /// Per-domain online event-detection state (an AP belongs to exactly
   /// one domain, so presence never crosses tables).
-  std::vector<std::unique_ptr<PresenceTable>> presence_;
+  std::vector<std::unique_ptr<social::PresenceTable>> presence_;
   /// Monitoring-facing health snapshots, published after every
   /// degradation step so domain_health() skips the domain lock.
   std::unique_ptr<fault::HealthBoard> health_;

@@ -55,12 +55,10 @@ struct SocialModelConfig {
 /// theta_row() safe to call concurrently with each other from any
 /// number of threads. Whether reads may also race with *mutations* is
 /// implementation-specific — SocialIndexModel is immutable after
-/// train/from_parts, core::OnlineSocialModel assumes a single owning
-/// thread, and serve::SharedSocialModel supports fully concurrent
-/// lock-free reads against live counter updates. read_epoch() lets a
-/// caller tell which regime it observed. Of the mutating providers only
-/// SharedSocialModel emits a ThetaDelta feed; OnlineSocialModel signals
-/// change through read_epoch() alone.
+/// train/from_parts, and SharedSocialModel supports fully concurrent
+/// lock-free reads against live counter updates, which it announces
+/// through its ThetaDelta feed. read_epoch() lets a caller tell which
+/// regime it observed.
 class ThetaProvider {
  public:
   virtual ~ThetaProvider() = default;

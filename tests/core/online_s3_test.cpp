@@ -23,122 +23,6 @@ social::SocialIndexModel empty_model(std::size_t n, double alpha = 0.3) {
                                               social::TypeCoLeaveMatrix(1));
 }
 
-TEST(OnlineSocialModel, StartsAtBaseTheta) {
-  const auto base = empty_model(4);
-  const OnlineSocialModel online(&base, {});
-  EXPECT_DOUBLE_EQ(online.theta(0, 1), base.theta(0, 1));
-  EXPECT_DOUBLE_EQ(online.theta(2, 2), 0.0);
-  EXPECT_EQ(online.updated_pairs(), 0u);
-  EXPECT_EQ(online.num_users(), 4u);
-}
-
-TEST(OnlineSocialModel, LearnsCoLeavingPair) {
-  const auto base = empty_model(4);
-  OnlineSocialModel online(&base, {});
-  // Users 0 and 1 share AP 3 for an hour and leave a minute apart.
-  online.on_associate(100, 0, 3, util::SimTime(0));
-  online.on_associate(101, 1, 3, util::SimTime(60));
-  online.on_disconnect(100, 0, 3, util::SimTime(3600));
-  online.on_disconnect(101, 1, 3, util::SimTime(3660));
-  EXPECT_GT(online.updated_pairs(), 0u);
-  // One encounter, one co-leave -> P(L|E) = 1.
-  EXPECT_DOUBLE_EQ(online.theta(0, 1), 1.0);
-  // Untouched pairs still answer through the base.
-  EXPECT_DOUBLE_EQ(online.theta(2, 3), 0.0);
-  // No delta feed: the inherited poll reports the mutations as an
-  // incomplete suffix ending at the current epoch (graph.h contract).
-  std::vector<social::ThetaDelta> deltas;
-  const social::ThetaDeltaPoll poll = online.poll_theta_deltas(0, deltas);
-  EXPECT_FALSE(poll.complete);
-  EXPECT_EQ(poll.cursor, online.read_epoch());
-  EXPECT_TRUE(deltas.empty());
-}
-
-TEST(OnlineSocialModel, EncounterWithoutCoLeave) {
-  const auto base = empty_model(3);
-  OnlineSocialModel online(&base, {});
-  online.on_associate(1, 0, 0, util::SimTime(0));
-  online.on_associate(2, 1, 0, util::SimTime(0));
-  online.on_disconnect(1, 0, 0, util::SimTime(3600));
-  // User 1 leaves an hour later: no co-leave.
-  online.on_disconnect(2, 1, 0, util::SimTime(7200));
-  EXPECT_DOUBLE_EQ(online.theta(0, 1), 0.0);  // 1 encounter, 0 co-leaves
-  EXPECT_EQ(online.updated_pairs(), 1u);
-}
-
-TEST(OnlineSocialModel, ShortOverlapIsNoEncounter) {
-  const auto base = empty_model(3);
-  OnlineSocialModel online(&base, {});
-  online.on_associate(1, 0, 0, util::SimTime(0));
-  online.on_associate(2, 1, 0, util::SimTime(0));
-  // Only five minutes together (< 10-minute encounter threshold).
-  online.on_disconnect(1, 0, 0, util::SimTime(300));
-  online.on_disconnect(2, 1, 0, util::SimTime(320));
-  EXPECT_EQ(online.updated_pairs(), 0u);
-}
-
-TEST(OnlineSocialModel, DifferentApsDoNotInteract) {
-  const auto base = empty_model(3);
-  OnlineSocialModel online(&base, {});
-  online.on_associate(1, 0, 0, util::SimTime(0));
-  online.on_associate(2, 1, 1, util::SimTime(0));
-  online.on_disconnect(1, 0, 0, util::SimTime(3600));
-  online.on_disconnect(2, 1, 1, util::SimTime(3610));
-  EXPECT_EQ(online.updated_pairs(), 0u);
-}
-
-TEST(OnlineSocialModel, RepeatedEpisodesConverge) {
-  const auto base = empty_model(2);
-  OnlineSocialModel online(&base, {});
-  // Three meetings; the pair co-leaves in two of them.
-  for (int episode = 0; episode < 3; ++episode) {
-    const std::int64_t t0 = episode * 86400;
-    online.on_associate(episode * 2 + 0, 0, 0, util::SimTime(t0));
-    online.on_associate(episode * 2 + 1, 1, 0, util::SimTime(t0));
-    online.on_disconnect(episode * 2 + 0, 0, 0, util::SimTime(t0 + 3600));
-    const std::int64_t gap = episode == 2 ? 7200 : 60;
-    online.on_disconnect(episode * 2 + 1, 1, 0, util::SimTime(t0 + 3600 + gap));
-  }
-  EXPECT_NEAR(online.theta(0, 1), 2.0 / 3.0, 1e-12);
-}
-
-TEST(OnlineSocialModel, SeedsFromTrainedCounts) {
-  // Base has 3 encounters / 3 co-leaves for the pair; one more
-  // encounter without a co-leave should give 3/4.
-  social::SocialModelConfig cfg;
-  cfg.alpha = 0.0;
-  analysis::PairStatsMap stats;
-  stats[UserPair(0, 1)] = {3, 3, 0};
-  social::UserTyping typing;
-  typing.num_types = 1;
-  typing.type_of_user.assign(2, 0);
-  const auto base = social::SocialIndexModel::from_parts(
-      cfg, std::move(stats), std::move(typing), social::TypeCoLeaveMatrix(1));
-
-  OnlineSocialModel online(&base, {});
-  online.on_associate(1, 0, 0, util::SimTime(0));
-  online.on_associate(2, 1, 0, util::SimTime(0));
-  online.on_disconnect(1, 0, 0, util::SimTime(3600));
-  online.on_disconnect(2, 1, 0, util::SimTime(20000));  // no co-leave
-  EXPECT_NEAR(online.theta(0, 1), 3.0 / 4.0, 1e-12);
-}
-
-TEST(OnlineSocialModel, CheckpointPersistsLiveLearning) {
-  const auto base = empty_model(3, /*alpha=*/0.0);
-  OnlineSocialModel online(&base, {});
-  online.on_associate(1, 0, 0, util::SimTime(0));
-  online.on_associate(2, 1, 0, util::SimTime(0));
-  online.on_disconnect(1, 0, 0, util::SimTime(3600));
-  online.on_disconnect(2, 1, 0, util::SimTime(3650));
-
-  const social::SocialIndexModel frozen = online.checkpoint();
-  EXPECT_DOUBLE_EQ(frozen.theta(0, 1), online.theta(0, 1));
-  EXPECT_DOUBLE_EQ(frozen.theta(0, 1), 1.0);
-  EXPECT_EQ(frozen.pair_stats().size(), 1u);
-  // Typing carried over.
-  EXPECT_EQ(frozen.typing().num_types, base.typing().num_types);
-}
-
 TEST(OnlineS3Selector, BehavesLikeS3WithoutEvents) {
   const auto net = mini_network(3);
   const auto base = empty_model(4);
@@ -156,75 +40,56 @@ TEST(OnlineS3Selector, BehavesLikeS3WithoutEvents) {
   EXPECT_EQ(online.name(), "S3-online");
 }
 
-TEST(OnlineSocialModel, AgreesWithOfflineExtractorExactly) {
-  // The incremental detector and analysis::extract_pair_stats implement
-  // the same §III-D definitions; on the same assigned trace their
-  // encounter/co-leave counts must match pair for pair.
-  trace::GeneratorConfig cfg;
-  cfg.seed = 77;
-  cfg.num_users = 120;
-  cfg.num_days = 4;
-  cfg.layout.num_buildings = 1;
-  cfg.layout.aps_per_building = 5;
-  const trace::GeneratedTrace g = trace::generate_campus_trace(cfg);
-
-  core::LlfSelector llf;
-  const sim::ReplayResult run =
-      runtime::ReplayDriver(g.network).run_sequential(g.workload, llf);
-
-  // Offline.
-  analysis::EventExtractionConfig windows;
-  const analysis::PairStatsMap offline =
-      analysis::extract_pair_stats(run.assigned, windows);
-
-  // Online: feed the assigned trace's association timeline.
-  const auto base = empty_model(120);
-  OnlineS3Config ocfg;
-  ocfg.co_leave_window = windows.co_leave_window;
-  ocfg.min_encounter_overlap = windows.min_encounter_overlap;
-  OnlineSocialModel online(&base, ocfg);
-  struct Ev {
-    util::SimTime when;
-    bool arrive;
-    std::size_t idx;
-  };
-  std::vector<Ev> events;
-  const auto sessions = run.assigned.sessions();
-  for (std::size_t i = 0; i < sessions.size(); ++i) {
-    events.push_back({sessions[i].connect, true, i});
-    events.push_back({sessions[i].disconnect, false, i});
+TEST(OnlineS3Selector, CloneCopiesLiveStateAndLearnsIndependently) {
+  const auto net = mini_network(3);
+  const auto base = empty_model(4);
+  auto source = std::make_unique<OnlineS3Selector>(&net, &base);
+  sim::Arrival a;
+  a.controller = 0;
+  a.demand_mbps = 1.0;
+  a.candidates = {0, 1, 2};
+  for (UserId u = 0; u < 4; ++u) {
+    a.session_index = u;
+    a.user = u;
+    source->on_associate(a, 0);
   }
-  std::stable_sort(events.begin(), events.end(),
-                   [](const Ev& a, const Ev& b) { return a.when < b.when; });
-  for (const Ev& e : events) {
-    const trace::SessionRecord& s = sessions[e.idx];
-    if (e.arrive) {
-      online.on_associate(e.idx, s.user, s.ap, e.when);
-    } else {
-      online.on_disconnect(e.idx, s.user, s.ap, e.when);
+  // Users 0 and 1 leave together; 2 and 3 are still on the AP, so the
+  // snapshot carries presence state as well as learnt pairs.
+  source->on_disconnect(0, 0, 0, util::SimTime(3600));
+  source->on_disconnect(1, 1, 0, util::SimTime(3630));
+
+  const std::unique_ptr<sim::ApSelector> copy_ptr = source->clone();
+  const auto& copy = dynamic_cast<const OnlineS3Selector&>(*copy_ptr);
+  EXPECT_EQ(copy.state_digest(), source->state_digest());
+  EXPECT_EQ(copy.model().updated_pairs(), source->model().updated_pairs());
+  for (UserId u = 0; u < 4; ++u) {
+    for (UserId v = 0; v < 4; ++v) {
+      EXPECT_EQ(copy.model().theta(u, v), source->model().theta(u, v));
     }
   }
 
-  // Compare the encounter/co-leave ledgers (co-comings are offline-only
-  // bookkeeping the online detector does not need).
-  const social::SocialIndexModel check = online.checkpoint();
-  std::size_t offline_encounter_pairs = 0;
-  for (const auto& [pair, off] : offline) {
-    if (off.encounters == 0) continue;
-    ++offline_encounter_pairs;
-    const social::PairStore::Stats* live = check.pair_stats().find(pair);
-    ASSERT_NE(live, nullptr)
-        << "pair " << pair.a << "," << pair.b << " missing online";
-    EXPECT_EQ(live->encounters, off.encounters)
-        << "pair " << pair.a << "," << pair.b;
-    EXPECT_EQ(live->co_leaves, off.co_leaves)
-        << "pair " << pair.a << "," << pair.b;
-  }
-  std::size_t online_encounter_pairs = 0;
-  for (const auto& [pair, live] : check.pair_stats()) {
-    if (live.encounters > 0) ++online_encounter_pairs;
-  }
-  EXPECT_EQ(online_encounter_pairs, offline_encounter_pairs);
+  // Users 2 and 3 co-leave on the copy only: the source is untouched.
+  const std::uint64_t source_digest = source->state_digest();
+  const double source_theta = source->model().theta(2, 3);
+  copy_ptr->on_disconnect(2, 2, 0, util::SimTime(7200));
+  copy_ptr->on_disconnect(3, 3, 0, util::SimTime(7260));
+  EXPECT_EQ(source->state_digest(), source_digest);
+  EXPECT_EQ(source->model().theta(2, 3), source_theta);
+  EXPECT_NE(copy.state_digest(), source_digest);
+  EXPECT_DOUBLE_EQ(copy.model().theta(2, 3), 1.0);
+
+  // The same events on the source bring the two back in step.
+  source->on_disconnect(2, 2, 0, util::SimTime(7200));
+  source->on_disconnect(3, 3, 0, util::SimTime(7260));
+  EXPECT_EQ(source->state_digest(), copy.state_digest());
+  EXPECT_EQ(source->model().theta(2, 3), copy.model().theta(2, 3));
+
+  // The copy's placements consult its own model, not the source's.
+  source.reset();
+  sim::ApLoadTracker loads(net);
+  a.session_index = 9;
+  a.user = 2;
+  EXPECT_LT(copy_ptr->select_one(a, loads), net.num_aps());
 }
 
 TEST(OnlineS3Selector, EndToEndReplayLearns) {

@@ -1,9 +1,9 @@
 // s3::serve — live pipeline and shared social model.
 //
-// The anchor test proves the concurrency refactor changed nothing
-// semantically: a ServePipeline's live event detection drives a
-// SharedSocialModel to bit-identical θ values with the single-owner
-// core::OnlineSocialModel fed the same association events.
+// The anchor test proves per-domain detection changes nothing
+// semantically: a ServePipeline's per-domain presence tables drive its
+// SharedSocialModel to bit-identical θ values with one single-owner
+// PresenceTable fed the same association events.
 
 #include <atomic>
 #include <map>
@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include "s3/core/evaluation.h"
-#include "s3/core/online_s3.h"
 #include "s3/fault/fault_injector.h"
 #include "s3/fault/fault_plan.h"
 #include "s3/serve/line_protocol.h"
@@ -108,18 +107,21 @@ TEST(ServePipeline, RejectsUnknownUserUnderSocialPolicy) {
   EXPECT_TRUE(q.place(request(1, unknown, 0, 0)).placed);
 }
 
-// The tentpole equivalence: pipeline-detected encounters/co-leavings
-// must update the shared model to the exact θ the single-owner online
-// model computes from the same events. The pipeline runs the "rssi"
-// policy so AP choice is deterministic and model-independent; every
-// committed (session, user, ap, t) event is mirrored into an
-// OnlineSocialModel, then θ is compared bit for bit over all pairs.
-TEST(SharedSocialModel, BitIdenticalWithOnlineModelOnSameEvents) {
+// Pipeline-detected encounters/co-leavings, split across per-domain
+// presence tables, must update the shared model to the exact θ that
+// one single-owner PresenceTable (the core::OnlineS3Selector setup)
+// computes from the same events. The pipeline runs the "rssi" policy
+// so AP choice is deterministic and model-independent; every committed
+// (session, user, ap, t) event is mirrored into the single table and a
+// second SharedSocialModel, then θ is compared bit for bit.
+TEST(SharedSocialModel, PipelineDetectionMatchesSingleOwnerTable) {
   const World& w = world();
   ServeConfig cfg;
   cfg.policy = "rssi";
   ServePipeline pipeline(&w.gen.network, &w.model, cfg);
-  core::OnlineSocialModel online(&w.model, {});
+  social::PresenceTable presence(cfg.co_leave_window,
+                                 cfg.min_encounter_overlap);
+  social::SharedSocialModel single(&w.model);
 
   struct Live {
     UserId user;
@@ -145,8 +147,8 @@ TEST(SharedSocialModel, BitIdenticalWithOnlineModelOnSameEvents) {
       const auto victim =
           std::next(active.begin(),
                     static_cast<std::ptrdiff_t>(next() % active.size()));
-      online.on_disconnect(victim->first, victim->second.user,
-                           victim->second.ap, t);
+      single.record_departure(
+          presence.depart(victim->second.ap, victim->first, t));
       ASSERT_TRUE(pipeline.depart(victim->first, t));
       active.erase(victim);
     } else {
@@ -155,39 +157,39 @@ TEST(SharedSocialModel, BitIdenticalWithOnlineModelOnSameEvents) {
       const BuildingId b = static_cast<BuildingId>(next() % 2);
       const PlaceResult r = pipeline.place(request(id, user, b, now));
       ASSERT_TRUE(r.placed);
-      online.on_associate(id, user, r.ap, t);
+      presence.arrive(r.ap, id, user, t);
       active.emplace(id, Live{user, r.ap});
     }
   }
 
   EXPECT_GT(pipeline.model().updated_pairs(), 0U)
       << "schedule produced no social events — test is vacuous";
-  EXPECT_EQ(pipeline.model().updated_pairs(), online.updated_pairs());
+  EXPECT_EQ(pipeline.model().updated_pairs(), single.updated_pairs());
 
-  const SharedSocialModel& shared = pipeline.model();
+  const social::SharedSocialModel& shared = pipeline.model();
+  EXPECT_EQ(shared.state_digest(), single.state_digest());
   const std::size_t n = w.model.num_users();
   for (UserId u = 0; u < n; ++u) {
     for (UserId v = static_cast<UserId>(u + 1); v < n; ++v) {
-      ASSERT_EQ(shared.theta(u, v), online.theta(u, v))
+      ASSERT_EQ(shared.theta(u, v), single.theta(u, v))
           << "theta mismatch at (" << u << ", " << v << ")";
     }
   }
-  // Row kernel agrees with the online model's row kernel too.
+  // Row kernel agrees with the scalar path across the two models too.
   std::vector<UserId> vs(n);
   for (UserId v = 0; v < n; ++v) vs[v] = v;
   std::vector<double> shared_row(n);
-  std::vector<double> online_row(n);
+  std::vector<double> single_row(n);
   for (UserId u = 0; u < n; u += 17) {
     shared.theta_row(u, vs, shared_row);
-    online.theta_row(u, vs, online_row);
-    EXPECT_EQ(shared_row, online_row) << "theta_row mismatch at u=" << u;
+    single.theta_row(u, vs, single_row);
+    EXPECT_EQ(shared_row, single_row) << "theta_row mismatch at u=" << u;
   }
-  // Both sides advertise a moving read snapshot — polled through the
-  // base interface (direct SharedSocialModel::read_epoch is
-  // deprecated in favour of the structured delta feed).
+  // The pipeline's model advertises a moving read snapshot — polled
+  // through the base interface (direct SharedSocialModel::read_epoch
+  // is deprecated in favour of the structured delta feed).
   EXPECT_GT(static_cast<const social::ThetaProvider&>(shared).read_epoch(),
             0U);
-  EXPECT_GT(online.read_epoch(), 0U);
 
   // The structured feed replays the same history: draining it from
   // cursor 0 and keeping each pair's last record reproduces the
@@ -221,7 +223,7 @@ TEST(SharedSocialModel, CliqueMaintainerSyncFollowsLiveDeltas) {
   ServeConfig cfg;
   cfg.policy = "rssi";  // deterministic, model-independent placements
   ServePipeline pipeline(&w.gen.network, &w.model, cfg);
-  const SharedSocialModel& shared = pipeline.model();
+  const social::SharedSocialModel& shared = pipeline.model();
   const auto expect_cover_matches_scratch = [](social::CliqueMaintainer& m) {
     const social::CliqueCoverResult scratch = m.solve_from_scratch();
     const social::CliqueCoverResult& cover = m.cover();
