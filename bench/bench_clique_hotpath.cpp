@@ -229,8 +229,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   json << "{\n"
-       << "  \"bench\": \"clique_hotpath\",\n"
-       << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
+       << "  \"bench\": \"clique_hotpath\",\n";
+  bench::write_provenance(json);
+  json << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
        << "  \"seed\": " << seed << ",\n"
        << "  \"num_users\": " << users << ",\n"
        << "  \"community_size\": " << kCommunity << ",\n"

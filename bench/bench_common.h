@@ -25,12 +25,18 @@
 #include <iostream>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "s3/core/evaluation.h"
 #include "s3/trace/generator.h"
 #include "s3/util/argspec.h"
 #include "s3/util/metrics.h"
+
+// Set per target by bench/CMakeLists.txt.
+#ifndef S3LB_BUILD_TYPE
+#define S3LB_BUILD_TYPE "unknown"
+#endif
 
 namespace s3::bench {
 
@@ -141,6 +147,16 @@ inline trace::Trace collected_trace(const wlan::Network& net,
   rc.replay = eval.replay;
   rc.threads = eval.threads;
   return runtime::ReplayDriver(net, rc).run(workload, llf).assigned;
+}
+
+/// Writes the `compiler`, `build_type` and `hardware_concurrency`
+/// members of a BENCH_*.json object (two-space indent, trailing comma),
+/// so a committed result says which toolchain and host produced it.
+inline void write_provenance(std::ostream& json) {
+  json << "  \"compiler\": \"" << __VERSION__ << "\",\n"
+       << "  \"build_type\": \"" << S3LB_BUILD_TYPE << "\",\n"
+       << "  \"hardware_concurrency\": "
+       << std::thread::hardware_concurrency() << ",\n";
 }
 
 /// Call at the end of main: dumps the instrumentation bus to stderr

@@ -296,8 +296,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   json << "{\n"
-       << "  \"bench\": \"failover\",\n"
-       << "  \"scale\": \"" << args.scale << "\",\n"
+       << "  \"bench\": \"failover\",\n";
+  bench::write_provenance(json);
+  json << "  \"scale\": \"" << args.scale << "\",\n"
        << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
        << "  \"seed\": " << args.seed << ",\n"
        << "  \"num_users\": " << cfg.num_users << ",\n"

@@ -213,13 +213,13 @@ int main(int argc, char** argv) {
     return 1;
   }
   json << "{\n"
-       << "  \"bench\": \"serve\",\n"
-       << "  \"scale\": \"" << args.scale << "\",\n"
+       << "  \"bench\": \"serve\",\n";
+  bench::write_provenance(json);
+  json << "  \"scale\": \"" << args.scale << "\",\n"
        << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
        << "  \"seed\": " << args.seed << ",\n"
        << "  \"num_users\": " << cfg.num_users << ",\n"
        << "  \"ops_per_thread\": " << ops << ",\n"
-       << "  \"hardware_concurrency\": " << hw << ",\n"
        << "  \"runs\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const RunResult& r = results[i];

@@ -238,8 +238,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   json << "{\n"
-       << "  \"bench\": \"theta_hotpath\",\n"
-       << "  \"scale\": \"" << args.scale << "\",\n"
+       << "  \"bench\": \"theta_hotpath\",\n";
+  bench::write_provenance(json);
+  json << "  \"scale\": \"" << args.scale << "\",\n"
        << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
        << "  \"seed\": " << args.seed << ",\n"
        << "  \"num_users\": " << cfg.num_users << ",\n"

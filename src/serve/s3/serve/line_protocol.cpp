@@ -82,6 +82,13 @@ bool run_line_protocol(ServePipeline& pipeline, std::istream& in,
         reject("trailing-garbage", line);
         continue;
       }
+      // place() requires these; a client's bad value must not end the
+      // session.
+      if (req.building >= pipeline.network().num_buildings() ||
+          req.user == kInvalidUser || !(req.demand_mbps >= 0.0)) {
+        reject("out-of-range", line);
+        continue;
+      }
       req.when = util::SimTime::from_seconds(t);
       const ServeStats before = pipeline.stats();
       const PlaceResult r = pipeline.place(req);
@@ -138,7 +145,6 @@ bool run_line_protocol(ServePipeline& pipeline, std::istream& in,
                << " cohesion=" << cohesion << " exact=" << (s.exact ? 1 : 0)
                << " incremental=" << (s.incremental ? 1 : 0)
                << " cover_version=" << s.cover_version
-               << " deltas=" << s.deltas_applied
                << " solved=" << s.components_solved
                << " reused=" << s.components_reused
                << " reseeds=" << s.reseeds;

@@ -20,20 +20,24 @@
 //         overloads=<n> rejected=<n> updated_pairs=<n>   (one line)
 //   social users=<n> cliques=<n> singletons=<n> largest=<n>
 //          cohesion=<x.xxxxxx> exact=<0|1> incremental=<0|1>
-//          cover_version=<n> deltas=<n> solved=<n> reused=<n>
+//          cover_version=<n> solved=<n> reused=<n>
 //          reseeds=<n>                                   (one line)
 //
 // `social` serves ServePipeline::social_snapshot(): the maintained
 // clique cover of the live θ-graph plus the cohesion score (θ mass of
 // clique pairs currently sharing an AP). The first query seeds the
-// maintained graph; later ones drain the model's ThetaDelta feed and
-// re-solve only dirty components (incremental=1).
+// maintained graph; later ones re-read θ of the model's live pairs
+// and re-solve only dirty components (incremental=1). Its cost falls
+// on the query, never on arrive/depart.
 //
 // Malformed lines get a structured reply and processing continues:
 //
 //   err malformed-arrive <line>    arrive with missing/non-numeric fields
 //   err malformed-depart <line>    depart with missing/non-numeric fields
 //   err trailing-garbage <line>    valid request + extra tokens
+//   err out-of-range <line>        arrive whose building is not in the
+//                                  network, whose user is the invalid
+//                                  id, or whose demand is negative
 //   err unknown-verb <verb>        first token is not a request verb
 //
 // The machine-readable class is always the second token, so scripted

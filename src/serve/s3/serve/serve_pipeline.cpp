@@ -149,8 +149,6 @@ PlaceResult ServePipeline::place(const PlaceRequest& req) {
   registry_.commit(req.id, session);
   if (req.user < user_ap_.size()) {
     user_ap_[req.user].store(result.ap, std::memory_order_relaxed);
-    util::MutexLock social(social_.mu);
-    social_.scores.invalidate_user(req.user);
   }
   active_.fetch_add(1, std::memory_order_relaxed);
   placements_.fetch_add(1, std::memory_order_relaxed);
@@ -195,8 +193,6 @@ bool ServePipeline::depart(std::uint64_t id, util::SimTime when) {
 
   if (s->user < user_ap_.size()) {
     user_ap_[s->user].store(kInvalidAp, std::memory_order_relaxed);
-    util::MutexLock social(social_.mu);
-    social_.scores.invalidate_user(s->user);
   }
   active_.fetch_sub(1, std::memory_order_relaxed);
   departures_.fetch_add(1, std::memory_order_relaxed);
@@ -205,17 +201,30 @@ bool ServePipeline::depart(std::uint64_t id, util::SimTime when) {
 
 SocialSnapshot ServePipeline::social_snapshot() {
   util::MutexLock hold(social_.mu);
-  const bool incremental = social_.view.sync(shared_);
-  const social::CliqueCoverResult& cover = social_.view.cover();
-  social_.scores.bind(cover, social_.view.cover_version());
+  social::CliqueMaintainer& view = social_.view;
+  const bool incremental = view.num_users() == shared_.num_users();
+  if (!incremental) {
+    view.reset_from(shared_);
+  } else {
+    // Live pairs are never erased, so this visits every pair whose θ
+    // moved since the reseed; set_theta ignores the unchanged ones.
+    // Under a baseline policy, live pairs may name users the model
+    // does not know; the cover spans the model's population only
+    // (pairs are canonical, a < b).
+    for (const social::ConcurrentPairStore::Entry& e :
+         shared_.live().sorted_entries()) {
+      if (e.pair.b >= view.num_users()) continue;
+      view.set_theta(e.pair.a, e.pair.b, shared_.theta(e.pair.a, e.pair.b));
+    }
+  }
+  const social::CliqueCoverResult& cover = view.cover();
 
   SocialSnapshot out;
   out.users = shared_.num_users();
   out.exact = cover.exact;
   out.incremental = incremental;
-  out.cover_version = social_.view.cover_version();
-  for (std::size_t i = 0; i < cover.cliques.size(); ++i) {
-    const std::vector<std::size_t>& members = cover.cliques[i];
+  out.cover_version = view.cover_version();
+  for (const std::vector<std::size_t>& members : cover.cliques) {
     out.largest = std::max(out.largest, members.size());
     if (members.size() < 2) {
       ++out.singletons;
@@ -223,29 +232,24 @@ SocialSnapshot ServePipeline::social_snapshot() {
     }
     ++out.cliques;
     // ΣC(AP) over this clique: θ mass of member pairs currently placed
-    // on the same AP. Cached per clique; placements invalidate O(1).
-    out.cohesion += social_.scores.score(i, [&](std::size_t) {
-      double sum = 0.0;
-      for (std::size_t a = 0; a < members.size(); ++a) {
-        const UserId ua = static_cast<UserId>(members[a]);
-        const ApId ap_a = user_ap_[ua].load(std::memory_order_relaxed);
-        if (ap_a == kInvalidAp) continue;
-        for (std::size_t b = a + 1; b < members.size(); ++b) {
-          const UserId ub = static_cast<UserId>(members[b]);
-          if (user_ap_[ub].load(std::memory_order_relaxed) != ap_a) continue;
-          sum += social_.view.edge_weight(ua, ub);
-        }
+    // on the same AP.
+    double sum = 0.0;
+    for (std::size_t a = 0; a < members.size(); ++a) {
+      const UserId ua = static_cast<UserId>(members[a]);
+      const ApId ap_a = user_ap_[ua].load(std::memory_order_relaxed);
+      if (ap_a == kInvalidAp) continue;
+      for (std::size_t b = a + 1; b < members.size(); ++b) {
+        const UserId ub = static_cast<UserId>(members[b]);
+        if (user_ap_[ub].load(std::memory_order_relaxed) != ap_a) continue;
+        sum += view.edge_weight(ua, ub);
       }
-      return sum;
-    });
+    }
+    out.cohesion += sum;
   }
-  const social::CliqueMaintainerStats& ms = social_.view.stats();
-  out.deltas_applied = ms.deltas_applied;
+  const social::CliqueMaintainerStats& ms = view.stats();
   out.components_solved = ms.components_solved;
   out.components_reused = ms.components_reused;
   out.reseeds = ms.reseeds;
-  out.scores_recomputed = social_.scores.recomputed();
-  out.scores_reused = social_.scores.reused();
   return out;
 }
 

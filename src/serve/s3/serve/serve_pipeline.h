@@ -17,7 +17,9 @@
 // threads. Callers bring their own concurrency (the stdin driver is
 // sequential; bench_serve shards domains across workers). Calls for
 // the same domain serialize on the domain mutex; the shared social
-// store serializes only per hash bucket.
+// store serializes only per hash bucket. Neither takes a
+// pipeline-wide lock: the `social` monitor catches up on its own
+// schedule (social_snapshot).
 //
 // The fault machinery is reused unchanged from replay: an optional
 // FaultInjector prunes dead APs from candidate sets, declares model
@@ -88,29 +90,24 @@ struct PlaceResult {
 /// social mass current placements keep together. Served by
 /// ServePipeline::social_snapshot() (the `social` protocol verb)
 /// without rebuilding the graph — the pipeline's CliqueMaintainer
-/// consumes the shared model's ThetaDelta feed and re-solves only the
-/// components live events actually touched.
+/// re-reads θ of the shared model's live pairs and re-solves only the
+/// components whose edges moved.
 struct SocialSnapshot {
   std::size_t users = 0;
   std::size_t cliques = 0;     ///< multi-member cliques in the cover
   std::size_t singletons = 0;  ///< size-1 cover entries
   std::size_t largest = 0;
   bool exact = true;  ///< no extraction hit the node budget
-  /// False when this query had to reseed from scratch (first call, or
-  /// the feed window was outrun).
+  /// False when this query had to reseed from scratch (the first call).
   bool incremental = false;
-  /// Σ over cliques of the cached ΣC(AP) score: the θ mass of member
-  /// pairs whose current placements share an AP. Scores are cached per
-  /// clique and invalidated by placement changes touching a member.
+  /// Σ over cliques of ΣC(AP): the θ mass of member pairs whose
+  /// current placements share an AP, summed afresh on every query.
   double cohesion = 0.0;
   std::uint64_t cover_version = 0;
-  // Cumulative maintainer / score-cache telemetry.
-  std::uint64_t deltas_applied = 0;
+  // Cumulative maintainer telemetry.
   std::uint64_t components_solved = 0;
   std::uint64_t components_reused = 0;
   std::uint64_t reseeds = 0;
-  std::uint64_t scores_recomputed = 0;
-  std::uint64_t scores_reused = 0;
 };
 
 struct ServeStats {
@@ -154,11 +151,12 @@ class ServePipeline {
   }
 
   /// Current social structure (see SocialSnapshot). Thread-safe; the
-  /// first call seeds the maintained θ-graph (O(users²) θ probes),
-  /// later calls drain the shared model's delta feed and re-solve only
-  /// dirty components. Concurrent placements keep streaming — the
-  /// snapshot serializes only against other snapshots and the O(1)
-  /// per-placement score invalidation.
+  /// first call seeds the maintained θ-graph (O(users²) θ probes).
+  /// Later calls re-apply the current θ of every live pair (O(live
+  /// pairs)) — the shared model never erases one, so every pair whose
+  /// θ moved is among them — and re-solve only dirty components.
+  /// Concurrent placements keep streaming: the snapshot serializes
+  /// only against other snapshots.
   SocialSnapshot social_snapshot();
 
   fault::HealthState domain_health(ControllerId domain) const;
@@ -187,14 +185,12 @@ class ServePipeline {
   std::atomic<std::size_t> next_session_{0};
   std::atomic<std::size_t> active_{0};
 
-  /// Social monitoring state (social_snapshot): the maintained cover
-  /// and its per-clique score cache, touched by placements only for
-  /// the O(1) invalidation. Same shape as Domain: the struct owns the
-  /// lock its fields are tied to.
+  /// Social monitoring state (social_snapshot): the maintained cover,
+  /// touched only by snapshots. Same shape as Domain: the struct owns
+  /// the lock its fields are tied to.
   struct SocialView {
     util::Mutex mu;
     social::CliqueMaintainer view S3_GUARDED_BY(mu);
-    social::CliqueScoreCache scores S3_GUARDED_BY(mu);
   };
   SocialView social_;
   /// Latest AP each user is placed on (kInvalidAp when absent); sized

@@ -7,10 +7,6 @@
 
 namespace s3::social {
 
-namespace {
-constexpr std::uint32_t kNoClique = std::numeric_limits<std::uint32_t>::max();
-}  // namespace
-
 CliqueMaintainer::CliqueMaintainer(std::size_t num_users,
                                    CliqueMaintainerConfig config)
     : config_(config) {
@@ -29,18 +25,9 @@ CliqueMaintainer::CliqueMaintainer(std::size_t num_users,
     c.dirty = true;
   }
   dirty_count_ = num_users;
-  // seeded_ stays false: the first sync() against a provider must
-  // reseed — this constructor mirrors nothing.
 }
 
 void CliqueMaintainer::reset_from(const ThetaProvider& model) {
-  // Capture the feed position *before* mirroring the state: a delta
-  // recorded while we read is then re-applied by the next sync(),
-  // which set_theta makes idempotent — never silently skipped.
-  feed_scratch_.clear();
-  feed_cursor_ = model.poll_theta_deltas(feed_cursor_, feed_scratch_).cursor;
-  feed_scratch_.clear();
-
   const std::size_t n = model.num_users();
   adj_.assign(n, {});
   num_edges_ = 0;
@@ -64,32 +51,7 @@ void CliqueMaintainer::reset_from(const ThetaProvider& model) {
                       [this](UserId u, UserId v, double th) {
                         insert_edge(u, v, th);
                       });
-  seeded_ = true;
   ++stats_.reseeds;
-}
-
-bool CliqueMaintainer::sync(const ThetaProvider& model) {
-  if (!seeded_ || adj_.size() != model.num_users()) {
-    reset_from(model);
-    return false;
-  }
-  feed_scratch_.clear();
-  const ThetaDeltaPoll poll =
-      model.poll_theta_deltas(feed_cursor_, feed_scratch_);
-  if (!poll.complete) {
-    // Lost records (log truncation, or a provider without a feed):
-    // every derived structure is suspect — reseed per the contract.
-    reset_from(model);
-    return false;
-  }
-  feed_cursor_ = poll.cursor;
-  for (const ThetaDelta& d : feed_scratch_) apply(d);
-  return true;
-}
-
-void CliqueMaintainer::apply(const ThetaDelta& delta) {
-  ++stats_.deltas_applied;
-  set_theta(delta.pair.a, delta.pair.b, delta.theta);
 }
 
 void CliqueMaintainer::set_theta(UserId u, UserId v, double theta) {
@@ -378,36 +340,6 @@ CliqueCoverResult CliqueMaintainer::solve_from_scratch() const {
     out.nodes_explored += comp.nodes_explored;
   }
   return out;
-}
-
-// ---------------------------------------------------------------------
-
-void CliqueScoreCache::bind(const CliqueCoverResult& cover,
-                            std::uint64_t version) {
-  if (bound_ && version == version_ &&
-      scores_.size() == cover.cliques.size()) {
-    return;
-  }
-  bound_ = true;
-  version_ = version;
-  scores_.assign(cover.cliques.size(), 0.0);
-  valid_.assign(cover.cliques.size(), 0);
-  std::size_t max_user = 0;
-  for (const std::vector<std::size_t>& clique : cover.cliques) {
-    for (const std::size_t v : clique) max_user = std::max(max_user, v);
-  }
-  clique_of_.assign(cover.cliques.empty() ? 0 : max_user + 1, kNoClique);
-  for (std::size_t i = 0; i < cover.cliques.size(); ++i) {
-    for (const std::size_t v : cover.cliques[i]) {
-      clique_of_[v] = static_cast<std::uint32_t>(i);
-    }
-  }
-}
-
-void CliqueScoreCache::invalidate_user(UserId u) {
-  if (!bound_ || u >= clique_of_.size()) return;
-  const std::uint32_t c = clique_of_[u];
-  if (c != kNoClique && c < valid_.size()) valid_[c] = 0;
 }
 
 }  // namespace s3::social

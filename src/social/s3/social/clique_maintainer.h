@@ -22,15 +22,15 @@
 // differential suite does, at several thread counts) is a real guard
 // on the dirty-set and component bookkeeping.
 //
-// Synchronisation with a live provider goes through the ThetaDelta
-// change feed (graph.h): sync() drains poll_theta_deltas() and applies
-// each record; an incomplete poll (log truncation, or a provider
-// without a feed) falls back to reset_from(), the full reseed.
+// reset_from() mirrors a provider in full; set_theta() applies one
+// pair's new θ. A consumer following a live provider re-applies the
+// current θ of every pair that may have moved: exact-equal re-weights
+// are no-ops, so only components whose edges really changed go dirty
+// (ServePipeline::social_snapshot re-reads SharedSocialModel's live
+// pairs this way).
 //
 // Threading: not thread-safe. One maintainer has one owner; concurrent
-// pipelines guard theirs with a mutex and rely on the feed contract to
-// tolerate writers racing the reseed (re-applied deltas are
-// idempotent).
+// pipelines guard theirs with a mutex.
 #pragma once
 
 #include <cstdint>
@@ -56,7 +56,6 @@ struct CliqueMaintainerStats {
   std::uint64_t edges_inserted = 0;
   std::uint64_t edges_removed = 0;
   std::uint64_t edges_reweighted = 0;
-  std::uint64_t deltas_applied = 0;
   std::uint64_t component_merges = 0;
   std::uint64_t component_splits = 0;
   std::uint64_t components_solved = 0;  ///< fresh per-component solves
@@ -77,24 +76,13 @@ class CliqueMaintainer {
                             CliqueMaintainerConfig config = {});
 
   /// Full reseed: drop everything and mirror the provider's current
-  /// strict-threshold edge set. Also fast-forwards the feed cursor, so
-  /// a following sync() resumes incrementally. The cursor is captured
-  /// *before* the state is read: deltas recorded by writers racing the
-  /// reseed get re-applied afterwards, which set_theta makes a no-op.
+  /// strict-threshold edge set.
   void reset_from(const ThetaProvider& model);
-
-  /// Drains the provider's change feed and applies every record;
-  /// reseeds instead when the feed is incomplete (or on first use /
-  /// population change). Returns true when served incrementally.
-  bool sync(const ThetaProvider& model);
 
   /// Point mutation: θ(u, v) is now `theta`. Inserts, removes, or
   /// re-weights the edge as the strict threshold rule dictates;
   /// exact-equal re-weights are no-ops (no component goes dirty).
   void set_theta(UserId u, UserId v, double theta);
-
-  /// Applies one feed record (set_theta on its pair).
-  void apply(const ThetaDelta& delta);
 
   std::size_t num_users() const noexcept { return adj_.size(); }
   const CliqueMaintainerConfig& config() const noexcept { return config_; }
@@ -117,7 +105,7 @@ class CliqueMaintainer {
   CliqueCoverResult solve_from_scratch() const;
 
   /// Bumps every time an assembled cover differs from the previous one
-  /// (i.e. some component was re-solved). Score caches key on it.
+  /// (i.e. some component was re-solved).
   std::uint64_t cover_version() const noexcept { return cover_version_; }
 
   /// Components currently marked dirty (re-solved at next cover()).
@@ -158,64 +146,12 @@ class CliqueMaintainer {
   /// Stamp-based visited set for BFS (no O(n) clears per delete).
   mutable std::vector<std::uint32_t> visit_mark_;
   mutable std::uint32_t visit_stamp_ = 0;
-  mutable std::vector<UserId> bfs_queue_;
-
-  bool seeded_ = false;
-  std::uint64_t feed_cursor_ = 0;
-  std::vector<ThetaDelta> feed_scratch_;
 
   CliqueCoverResult assembled_;
   bool assembled_valid_ = false;
   std::uint64_t cover_version_ = 0;
 
   CliqueMaintainerStats stats_{};
-};
-
-/// Caches one double score per clique of a maintained cover — the
-/// serve pipeline stores each clique's ΣC(AP) social-cohesion sum.
-/// Scores key on CliqueMaintainer::cover_version(): a version change
-/// (some component re-solved) drops everything; within a version,
-/// individual scores are invalidated by placement changes through
-/// invalidate_user(). Not thread-safe; callers bring the lock that
-/// already guards the maintainer.
-class CliqueScoreCache {
- public:
-  /// Points the cache at a cover snapshot. Same `version` as the
-  /// previous bind → cached scores survive except those invalidated
-  /// since; a new version rebuilds the member → clique map and drops
-  /// every score.
-  void bind(const CliqueCoverResult& cover, std::uint64_t version);
-
-  /// A placement change touched `u`: the score of the clique
-  /// containing it (if any) is recomputed at next read.
-  void invalidate_user(UserId u);
-
-  /// Cached score of clique `i`, recomputed via `compute(i)` on miss.
-  template <typename Fn>
-  double score(std::size_t i, Fn&& compute) {
-    S3_REQUIRE(i < scores_.size(), "CliqueScoreCache: index out of range");
-    if (!valid_[i]) {
-      scores_[i] = compute(i);
-      valid_[i] = 1;
-      ++recomputed_;
-    } else {
-      ++reused_;
-    }
-    return scores_[i];
-  }
-
-  std::uint64_t recomputed() const noexcept { return recomputed_; }
-  std::uint64_t reused() const noexcept { return reused_; }
-
- private:
-  bool bound_ = false;
-  std::uint64_t version_ = 0;
-  std::vector<double> scores_;
-  std::vector<char> valid_;
-  /// member user id -> clique index in the bound cover (or npos).
-  std::vector<std::uint32_t> clique_of_;
-  std::uint64_t recomputed_ = 0;
-  std::uint64_t reused_ = 0;
 };
 
 }  // namespace s3::social

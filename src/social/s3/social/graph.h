@@ -1,8 +1,7 @@
 // Weighted undirected graph over a working set of users, with dynamic
 // bitset adjacency — the representation the clique machinery runs on —
-// plus the ThetaDelta change-feed record that keeps incremental
-// consumers (social::CliqueMaintainer) in sync with a mutating
-// θ provider without whole-model rebuilds.
+// plus the ThetaDelta change-feed record of the ThetaProvider
+// interface.
 #pragma once
 
 #include <cstdint>
@@ -19,30 +18,22 @@ class ThetaProvider;
 /// One record of a ThetaProvider's structured change feed: pair
 /// (u, v)'s social relation index moved to `theta`.
 ///
-/// Invalidation contract (the delta-driven social API):
+/// The feed stays on the interface for forwarding wrappers outside the
+/// library; no provider in it emits one. Its contract, for a provider
+/// that does (`ThetaProvider::emits_theta_deltas`):
 ///
-///   * A provider that emits deltas (`ThetaProvider::emits_theta_deltas`)
-///     records one ThetaDelta for *every* mutation that changes any
-///     θ(u, v), carrying the value of θ(u, v) *after* the mutation. A
-///     consumer that applies a feed suffix in order therefore converges
-///     on the provider's current θ for every touched pair; pairs never
-///     mentioned by the feed are unchanged since the consumer's last
-///     sync point. Derived state (θ-graph edges, clique covers,
-///     per-clique scores) stays valid for every pair the drained feed
-///     does not mention, and must be repaired only where it does.
-///   * Feeds are bounded. When a poll reports `complete == false` the
-///     provider discarded records the consumer had not seen (log
-///     truncation), and every derived structure is invalid: the
-///     consumer must re-seed from the provider's current state
-///     (CliqueMaintainer::reset_from) before trusting any query.
-///   * A provider that mutates but does not emit deltas advances
-///     `read_epoch()` with an always-incomplete feed — the epoch is the
-///     coarse invalidate-everything signal the feed refines. Immutable
-///     providers (a trained SocialIndexModel) have an exact, forever
-///     empty feed.
-///   * `epoch` stamps the provider's read_epoch() at the mutation, so a
-///     consumer can bracket a drained suffix against snapshot reads
-///     (social_index.h's read-snapshot contract).
+///   * One ThetaDelta per mutation that changes any θ(u, v), carrying
+///     θ(u, v) *after* the mutation, so applying a feed suffix in order
+///     converges on the provider's current θ for every touched pair.
+///   * When a poll reports `complete == false`, records the consumer
+///     had not seen were discarded, and derived state must be rebuilt
+///     from the provider's current state (CliqueMaintainer::reset_from).
+///   * `epoch` stamps the provider's read_epoch() at the mutation.
+///
+/// Live consumers in the library do not need a feed:
+/// SharedSocialModel never erases a live pair, so re-reading θ of its
+/// live() keys finds every pair that moved (ServePipeline::
+/// social_snapshot).
 struct ThetaDelta {
   UserPair pair{0, 1};
   double theta = 0.0;    ///< θ(pair) after the mutation

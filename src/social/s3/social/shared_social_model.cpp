@@ -15,9 +15,6 @@ SharedSocialModel::SharedSocialModel(const SharedSocialModel& other)
   for (const ConcurrentPairStore::Entry& e : other.store_.sorted_entries()) {
     store_.assign(e.pair, e.stats);
   }
-  util::MutexLock theirs(other.feed_.mu);
-  util::MutexLock ours(feed_.mu);
-  feed_.base = other.feed_.base + other.feed_.records.size();
 }
 
 double SharedSocialModel::theta(UserId u, UserId v) const {
@@ -52,47 +49,6 @@ void SharedSocialModel::theta_row(UserId u, std::span<const UserId> vs,
       out[i] = live->co_leave_probability() + base_->alpha() * type_term;
     }
   }
-}
-
-namespace {
-/// Feed retention: overflow drops the older half, and a consumer that
-/// skipped past the retained window gets an incomplete poll and
-/// reseeds.
-constexpr std::size_t kFeedCapacity = 1 << 16;
-}  // namespace
-
-void SharedSocialModel::push_delta(UserId u, UserId v) {
-  util::MutexLock hold(feed_.mu);
-  // θ is computed here, after this writer's store update and inside
-  // the feed lock: every record appended before this one came from a
-  // writer whose store update happens-before ours was read (its
-  // unlock ordered before our lock), so the *last* record for any
-  // pair carries a θ that already folds in every earlier-appended
-  // update. Applying a drained suffix in order therefore converges on
-  // the store's current θ for every touched pair.
-  if (feed_.records.size() >= kFeedCapacity) {
-    const std::size_t drop = feed_.records.size() / 2;
-    feed_.records.erase(
-        feed_.records.begin(),
-        feed_.records.begin() + static_cast<std::ptrdiff_t>(drop));
-    feed_.base += drop;
-  }
-  feed_.records.push_back(
-      ThetaDelta{UserPair(u, v), theta(u, v), store_.epoch()});
-}
-
-ThetaDeltaPoll SharedSocialModel::poll_theta_deltas(
-    std::uint64_t cursor, std::vector<ThetaDelta>& out) const {
-  util::MutexLock hold(feed_.mu);
-  const std::uint64_t end = feed_.base + feed_.records.size();
-  if (cursor < feed_.base || cursor > end) {
-    return ThetaDeltaPoll{end, false};
-  }
-  out.insert(
-      out.end(),
-      feed_.records.begin() + static_cast<std::ptrdiff_t>(cursor - feed_.base),
-      feed_.records.end());
-  return ThetaDeltaPoll{end, true};
 }
 
 void SharedSocialModel::record_encounter(UserId u, UserId v) {

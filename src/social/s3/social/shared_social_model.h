@@ -20,19 +20,21 @@
 //     touched pair's hash bucket, so per-domain serve controllers
 //     update disjoint social neighborhoods in parallel;
 //   * read_epoch() exposes the store's mutation stamp, implementing
-//     the ThetaProvider read-snapshot contract for the live regime.
+//     the ThetaProvider read-snapshot contract for the live regime;
+//   * no entry is ever erased, so every pair whose θ moved since
+//     training is a key of live() — a consumer mirroring θ catches up
+//     by re-reading those pairs (ServePipeline::social_snapshot).
 //
 // Which pairs met and co-left is detected by a PresenceTable
 // (presence_table.h); record_departure() writes one departure's events.
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <utility>
 
 #include "s3/social/concurrent_pair_store.h"
 #include "s3/social/presence_table.h"
 #include "s3/social/social_index.h"
-#include "s3/util/thread_annotations.h"
 
 namespace s3::social {
 
@@ -45,9 +47,7 @@ class SharedSocialModel : public ThetaProvider {
 
   /// Snapshot copy for single-owner checkpoints (a replicated
   /// controller's clone): same base, bit-identical θ for every pair.
-  /// The copy's delta feed starts empty at the source's cursor, so a
-  /// consumer that followed the source gets an incomplete poll from
-  /// the copy and reseeds (graph.h). The source must be quiescent.
+  /// The source must be quiescent.
   SharedSocialModel(const SharedSocialModel& other);
   SharedSocialModel& operator=(const SharedSocialModel&) = delete;
 
@@ -55,28 +55,11 @@ class SharedSocialModel : public ThetaProvider {
   void theta_row(UserId u, std::span<const UserId> vs,
                  std::span<double> out) const override;
   std::size_t num_users() const override { return base_->num_users(); }
-  /// Deprecated direct polling: the raw epoch only says *something*
-  /// changed. Consumers tracking derived state should drain
-  /// poll_theta_deltas(), which says *which* pairs moved and when a
-  /// reseed is unavoidable. (Base-interface calls through
-  /// ThetaProvider::read_epoch keep working, undeprecated — the epoch
-  /// remains the coarse signal the feed refines.)
-  [[deprecated(
-      "poll raw epochs via the ThetaProvider interface, or better, drain "
-      "poll_theta_deltas()")]]
+  /// The store's mutation stamp: the only change signal this model
+  /// gives (ThetaProvider::read_epoch).
   std::uint64_t read_epoch() const noexcept override {
     return store_.epoch();
   }
-
-  /// Structured change feed per the ThetaDelta contract (graph.h).
-  /// Every record_* call appends one record whose θ is computed after
-  /// the store update, inside the feed lock — so the last-appended
-  /// record for a pair reflects every earlier-appended writer's
-  /// update, and in-order application converges on the store's state.
-  bool emits_theta_deltas() const noexcept override { return true; }
-  ThetaDeltaPoll poll_theta_deltas(std::uint64_t cursor,
-                                   std::vector<ThetaDelta>& out) const override
-      S3_EXCLUDES(feed_.mu);
 
   /// Live-event writers (any thread). Counters are seeded from the
   /// base model's trained statistics the first time a pair is touched.
@@ -105,33 +88,17 @@ class SharedSocialModel : public ThetaProvider {
   const ConcurrentPairStore& live() const noexcept { return store_; }
 
  private:
-  /// The bounded delta log and its cursor, behind their own lock (the
-  /// store itself stays lock-free).
-  struct Feed {
-    mutable util::Mutex mu;
-    std::vector<ThetaDelta> records S3_GUARDED_BY(mu);
-    /// Cursor of records[0]; earlier entries were truncated away.
-    std::uint64_t base S3_GUARDED_BY(mu) = 0;
-  };
-
   template <typename Fn>
-  void bump(UserId u, UserId v, Fn&& fn) S3_EXCLUDES(feed_.mu) {
+  void bump(UserId u, UserId v, Fn&& fn) {
     const UserPair key(u, v);
     ConcurrentPairStore::Stats seed{};
     const PairStore::Stats* trained = base_->pair_stats().find(key);
     if (trained != nullptr) seed = *trained;
     store_.update(key, std::forward<Fn>(fn), &seed);
-    push_delta(u, v);
   }
-
-  /// Appends the pair's post-update θ to the bounded feed. Must run
-  /// after the store update; see emits_theta_deltas() for why θ is
-  /// read inside the lock.
-  void push_delta(UserId u, UserId v) S3_EXCLUDES(feed_.mu);
 
   const SocialIndexModel* base_;
   ConcurrentPairStore store_;
-  Feed feed_;
 };
 
 }  // namespace s3::social

@@ -56,9 +56,8 @@ struct SocialModelConfig {
 /// number of threads. Whether reads may also race with *mutations* is
 /// implementation-specific — SocialIndexModel is immutable after
 /// train/from_parts, and SharedSocialModel supports fully concurrent
-/// lock-free reads against live counter updates, which it announces
-/// through its ThetaDelta feed. read_epoch() lets a caller tell which
-/// regime it observed.
+/// lock-free reads against live counter updates. read_epoch() lets a
+/// caller tell which regime it observed.
 class ThetaProvider {
  public:
   virtual ~ThetaProvider() = default;
@@ -81,28 +80,15 @@ class ThetaProvider {
   /// moved epoch means live counters advanced mid-run (each individual
   /// read remains per-pair consistent regardless). Immutable providers
   /// return 0 forever — the default.
-  ///
-  /// Prefer poll_theta_deltas() for cache invalidation: the feed says
-  /// *which* pairs moved, the epoch only that *something* did.
   virtual std::uint64_t read_epoch() const noexcept { return 0; }
 
-  /// True when this provider records a structured ThetaDelta feed —
-  /// one record per θ-changing mutation, per the invalidation contract
-  /// on ThetaDelta (graph.h). Immutable providers trivially emit (an
-  /// exact, forever empty feed); the default covers both them and
-  /// mutating providers without a feed, which must return false.
+  /// The ThetaDelta change-feed hooks (graph.h). Kept on the interface
+  /// for forwarding wrappers outside the library; no provider in it
+  /// emits a feed, and nothing in it polls one. The defaults implement
+  /// the non-emitting contract: emits_theta_deltas() is false, and a
+  /// poll appends nothing and returns cursor = read_epoch(), complete
+  /// only while the epoch has not moved past the caller's cursor.
   virtual bool emits_theta_deltas() const noexcept { return false; }
-
-  /// Drains the change feed from `cursor` (0 on first call, then the
-  /// previous poll's `cursor`), appending records in mutation order to
-  /// `out`. Returns the next cursor and whether the drained suffix is
-  /// complete — `complete == false` means records were lost (log
-  /// truncation, or the provider keeps no feed at all) and the caller
-  /// must rebuild derived state from scratch. The default implements
-  /// the non-emitting contract: no records, cursor = read_epoch(),
-  /// complete only while the epoch has not moved past the caller's
-  /// cursor — exact for immutable providers, always-incomplete across
-  /// mutations for feed-less mutable ones.
   virtual ThetaDeltaPoll poll_theta_deltas(std::uint64_t cursor,
                                            std::vector<ThetaDelta>& out) const;
 
@@ -127,10 +113,6 @@ class SocialIndexModel : public ThetaProvider {
   /// One flat probe sequence per row — see ThetaProvider::theta_row.
   void theta_row(UserId u, std::span<const UserId> vs,
                  std::span<double> out) const override;
-
-  /// Immutable after train/from_parts: the feed is exact and forever
-  /// empty (the base poll_theta_deltas already implements it).
-  bool emits_theta_deltas() const noexcept override { return true; }
 
   /// The pair-history term P(L|E) alone.
   double co_leave_probability(UserId u, UserId v) const;

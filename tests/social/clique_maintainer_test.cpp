@@ -144,7 +144,7 @@ TEST(CliqueMaintainer, CleanComponentsAreServedFromCache) {
   EXPECT_EQ(m.stats().components_reused - reused_before, 2u);
 }
 
-// --- ThetaDelta sync paths ------------------------------------------
+// --- Reseed and resync ----------------------------------------------
 
 TEST(CliqueMaintainer, SyncAgainstFrozenModelSeedsOnceThenIdles) {
   trace::GeneratorConfig gc;
@@ -161,11 +161,9 @@ TEST(CliqueMaintainer, SyncAgainstFrozenModelSeedsOnceThenIdles) {
       core::train_from_workload(world.network, world.workload, eval);
 
   CliqueMaintainer m;
-  EXPECT_FALSE(m.sync(model));  // first contact: reseed
+  m.reset_from(model);
   EXPECT_EQ(m.stats().reseeds, 1u);
   EXPECT_EQ(m.num_users(), model.num_users());
-  EXPECT_TRUE(m.sync(model));  // frozen feed: complete and empty
-  EXPECT_EQ(m.stats().reseeds, 1u);
 
   // The mirrored edge set obeys the strict threshold rule bit for bit.
   std::size_t edges_seen = 0;
@@ -178,103 +176,23 @@ TEST(CliqueMaintainer, SyncAgainstFrozenModelSeedsOnceThenIdles) {
     }
   }
   EXPECT_EQ(edges_seen, m.num_edges());
+  ASSERT_GT(edges_seen, 0u) << "no edge above threshold — test is vacuous";
   expect_bitwise_equal(m.cover(), m.solve_from_scratch());
-}
 
-/// A provider whose feed can be truncated under the consumer, per the
-/// ThetaDelta retention contract.
-class TruncatingProvider : public ThetaProvider {
- public:
-  explicit TruncatingProvider(std::size_t n) : n_(n) {}
-
-  double theta(UserId u, UserId v) const override {
-    const auto it = thetas_.find(UserPair(u, v));
-    return it == thetas_.end() ? 0.0 : it->second;
-  }
-  std::size_t num_users() const override { return n_; }
-  std::uint64_t read_epoch() const noexcept override { return epoch_; }
-  bool emits_theta_deltas() const noexcept override { return true; }
-  ThetaDeltaPoll poll_theta_deltas(
-      std::uint64_t cursor, std::vector<ThetaDelta>& out) const override {
-    const std::uint64_t end = base_ + feed_.size();
-    if (cursor < base_ || cursor > end) return ThetaDeltaPoll{end, false};
-    out.insert(out.end(),
-               feed_.begin() + static_cast<std::ptrdiff_t>(cursor - base_),
-               feed_.end());
-    return ThetaDeltaPoll{end, true};
-  }
-
-  void set(UserId u, UserId v, double theta) {
-    thetas_[UserPair(u, v)] = theta;
-    feed_.push_back(ThetaDelta{UserPair(u, v), theta, ++epoch_});
-  }
-  void truncate_log() {
-    base_ += feed_.size();
-    feed_.clear();
-  }
-
- private:
-  std::size_t n_;
-  std::map<UserPair, double> thetas_;
-  std::vector<ThetaDelta> feed_;
-  std::uint64_t base_ = 0;
-  std::uint64_t epoch_ = 0;
-};
-
-TEST(CliqueMaintainer, IncompletePollForcesReseed) {
-  TruncatingProvider p(6);
-  p.set(0, 1, 0.9);
-  CliqueMaintainer m;
-  EXPECT_FALSE(m.sync(p));
-  EXPECT_TRUE(m.has_edge(0, 1));
-
-  p.set(2, 3, 0.8);
-  EXPECT_TRUE(m.sync(p));  // normal incremental drain
-  EXPECT_TRUE(m.has_edge(2, 3));
-
-  // Records lost behind the consumer's cursor: the poll is incomplete
-  // and the maintainer must rebuild rather than trust its mirror.
-  p.set(4, 5, 0.7);
-  p.set(0, 1, 0.0);
-  p.truncate_log();
-  EXPECT_FALSE(m.sync(p));
-  EXPECT_EQ(m.stats().reseeds, 2u);
-  EXPECT_FALSE(m.has_edge(0, 1));
-  EXPECT_TRUE(m.has_edge(4, 5));
-  expect_bitwise_equal(m.cover(), m.solve_from_scratch());
-}
-
-// --- CliqueScoreCache -----------------------------------------------
-
-TEST(CliqueScoreCache, InvalidatesPerUserAndPerVersion) {
-  CliqueMaintainer m(5);
-  m.set_theta(0, 1, 0.9);
-  m.set_theta(3, 4, 0.8);
-  CliqueScoreCache cache;
-  cache.bind(m.cover(), m.cover_version());
-  const auto score_all = [&] {
-    double total = 0.0;
-    for (std::size_t i = 0; i < m.cover().cliques.size(); ++i) {
-      total += cache.score(i, [](std::size_t) { return 1.0; });
+  // Resyncing against the unchanged model — re-applying every pair's
+  // current θ, as a live consumer does — dirties nothing.
+  const std::uint64_t version = m.cover_version();
+  const std::uint64_t solved = m.stats().components_solved;
+  for (UserId u = 0; u < m.num_users(); ++u) {
+    for (UserId v = u + 1; v < m.num_users(); ++v) {
+      m.set_theta(u, v, model.theta(u, v));
     }
-    return total;
-  };
-  score_all();
-  const std::uint64_t computed_cold = cache.recomputed();
-  score_all();
-  EXPECT_EQ(cache.recomputed(), computed_cold);  // all hits
-  EXPECT_GT(cache.reused(), 0u);
-
-  // One user invalidated -> exactly one clique recomputed.
-  cache.invalidate_user(0);
-  score_all();
-  EXPECT_EQ(cache.recomputed(), computed_cold + 1);
-
-  // A structural change bumps the version; rebinding drops everything.
-  m.set_theta(1, 2, 0.7);
-  cache.bind(m.cover(), m.cover_version());
-  score_all();
-  EXPECT_EQ(cache.recomputed(), computed_cold + 1 + m.cover().cliques.size());
+  }
+  EXPECT_EQ(m.dirty_components(), 0u);
+  m.cover();
+  EXPECT_EQ(m.cover_version(), version);
+  EXPECT_EQ(m.stats().components_solved, solved);
+  EXPECT_EQ(m.stats().reseeds, 1u);
 }
 
 }  // namespace

@@ -70,15 +70,15 @@ TEST(SharedSocialModel, LearnsCoLeavingPair) {
   EXPECT_DOUBLE_EQ(live.model.theta(0, 1), 1.0);
   // Untouched pairs still answer through the base.
   EXPECT_DOUBLE_EQ(live.model.theta(2, 3), 0.0);
-  // The delta feed holds one record per event, the last one at the
-  // pair's current θ (graph.h contract).
-  std::vector<ThetaDelta> deltas;
-  const ThetaDeltaPoll poll = live.model.poll_theta_deltas(0, deltas);
-  EXPECT_TRUE(poll.complete);
-  ASSERT_EQ(deltas.size(), 2u);
-  EXPECT_EQ(poll.cursor, 2u);
-  EXPECT_EQ(deltas.back().pair, UserPair(0, 1));
-  EXPECT_EQ(deltas.back().theta, live.model.theta(0, 1));
+  // The store epoch moved once per event, and the one live pair is the
+  // learnt one.
+  EXPECT_EQ(live.model.read_epoch(), 2u);
+  const std::vector<ConcurrentPairStore::Entry> entries =
+      live.model.live().sorted_entries();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries.front().pair, UserPair(0, 1));
+  EXPECT_EQ(entries.front().stats.co_leave_probability(),
+            live.model.theta(0, 1));
 }
 
 TEST(PresenceTable, EncounterWithoutCoLeave) {
@@ -191,7 +191,7 @@ TEST(SharedSocialModel, CheckpointPersistsLiveLearning) {
   EXPECT_EQ(frozen.typing().num_types, base.typing().num_types);
 }
 
-TEST(SharedSocialModel, CopyKeepsThetaAndStartsItsFeedAtTheSourceCursor) {
+TEST(SharedSocialModel, CopyKeepsTheta) {
   const auto base = empty_model(4);
   Learner live(&base);
   live.arrive(1, 0, 0, 0);
@@ -208,18 +208,15 @@ TEST(SharedSocialModel, CopyKeepsThetaAndStartsItsFeedAtTheSourceCursor) {
       EXPECT_EQ(copy.theta(u, v), live.model.theta(u, v));
     }
   }
-  // A consumer that followed the source sees the copy's feed as an
-  // exact empty suffix from the source's cursor, and anything older as
-  // truncated (it must reseed).
-  std::vector<ThetaDelta> deltas;
-  const ThetaDeltaPoll source = live.model.poll_theta_deltas(0, deltas);
-  deltas.clear();
-  const ThetaDeltaPoll from_cursor =
-      copy.poll_theta_deltas(source.cursor, deltas);
-  EXPECT_TRUE(from_cursor.complete);
-  EXPECT_EQ(from_cursor.cursor, source.cursor);
-  EXPECT_TRUE(deltas.empty());
-  EXPECT_FALSE(copy.poll_theta_deltas(0, deltas).complete);
+  // The copy learns on its own: the source's θ and epoch stay put.
+  const double before = live.model.theta(0, 2);
+  const std::uint64_t source_epoch = live.model.read_epoch();
+  SharedSocialModel learner(copy);
+  learner.record_co_leave(0, 2);
+  EXPECT_NE(learner.theta(0, 2), before);
+  EXPECT_EQ(live.model.theta(0, 2), before);
+  EXPECT_EQ(live.model.read_epoch(), source_epoch);
+  EXPECT_GT(learner.read_epoch(), 0u);
 }
 
 TEST(PresenceTable, AgreesWithOfflineExtractorExactly) {
