@@ -72,6 +72,17 @@ controller-outage 2 122400 136800
 ap-outage 5 200000 230000
 ")
 
+# Whole-replica-set losses: a neighbour controller adopts each lost
+# domain and hands it back when the window closes, plus a crash and an
+# AP outage in other domains.
+file(WRITE "${WORK}/controller_loss.txt"
+"s3fault v1
+controller-outage 0 36000 50400
+controller-loss 1 54000 64800
+controller-loss 2 300000 320000
+ap-outage 5 200000 230000
+")
+
 # --- goldens ------------------------------------------------------------
 
 set(GOLDEN_llf
@@ -85,6 +96,12 @@ set(GOLDEN_s3_faults
 set(GOLDEN_llf_replicated
   2632993e6055001945cde4b67024092dec566fec81ce5f04af2a32440664733d)
 set(GOLDEN_s3_online_replicated
+  36de5a3544966b2050a2030871e0e95b6d18b6199eb4bca7449ea495a4100040)
+set(GOLDEN_llf_headless
+  ec316562878e830b6736f7be4b852520eb9bae40179bab6ed9e15ab2de23f4f3)
+# Adoption and hand-back are lossless: the same bytes as the
+# outage-only replicated run.
+set(GOLDEN_s3_online_loss
   36de5a3544966b2050a2030871e0e95b6d18b6199eb4bca7449ea495a4100040)
 
 foreach(threads 1 4)
@@ -134,4 +151,27 @@ foreach(threads 1 4)
   expect_sha256(s3_online_replicated_t${threads}
                 "${WORK}/s3_online_replicated_t${threads}.csv"
                 ${GOLDEN_s3_online_replicated})
+
+  # No backups: each outage is ridden out headless, so arrivals inside
+  # the windows are dropped and the pending batch is discarded.
+  run_cli(replay --in "${WORK}/w.csv"
+          --out "${WORK}/llf_headless_t${threads}.csv"
+          --policy llf ${TOPO} --replicas 0
+          --fault-plan "${WORK}/controller_outage.txt" --fault-seed 9
+          --threads ${threads})
+  expect_sha256(llf_headless_t${threads}
+                "${WORK}/llf_headless_t${threads}.csv"
+                ${GOLDEN_llf_headless})
+
+  # Adoption from a snapshot of the learning selector, then hand-back
+  # to the revived original.
+  run_cli(replay --in "${WORK}/w.csv"
+          --out "${WORK}/s3_online_loss_t${threads}.csv"
+          --policy s3-online --model "${WORK}/model.txt" ${TOPO}
+          --replicas 1 --snapshot-every 64
+          --fault-plan "${WORK}/controller_loss.txt" --fault-seed 9
+          --threads ${threads})
+  expect_sha256(s3_online_loss_t${threads}
+                "${WORK}/s3_online_loss_t${threads}.csv"
+                ${GOLDEN_s3_online_loss})
 endforeach()

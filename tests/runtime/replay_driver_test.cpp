@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "s3/core/evaluation.h"
+#include "s3/core/online_s3.h"
 #include "s3/core/selector_factory.h"
 #include "s3/trace/generator.h"
 #include "s3/util/metrics.h"
@@ -96,6 +99,145 @@ TEST(ReplayDriver, SequentialMatchesShardedForStatelessPolicy) {
   const ReplayDriver driver(w.network);
   expect_identical(driver.run(w.workload, f),
                    driver.run_sequential(w.workload, shared));
+}
+
+/// FNV-1a fold of every assigned AP and the merged statistics.
+std::uint64_t result_digest(const sim::ReplayResult& r) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const trace::SessionRecord& s : r.assigned.sessions()) mix(s.ap);
+  mix(r.stats.num_sessions);
+  mix(r.stats.num_batches);
+  mix(r.stats.max_batch_size);
+  mix(r.stats.forced_overloads);
+  mix(r.stats.candidate_violations);
+  return h;
+}
+
+/// shared_world() at twice the population: enough users roam between
+/// buildings that a pair learnt in one domain later meets in another.
+const trace::GeneratedTrace& roaming_world() {
+  static const trace::GeneratedTrace world = [] {
+    trace::GeneratorConfig cfg;
+    cfg.seed = 7;
+    cfg.num_users = 300;
+    cfg.num_days = 3;
+    cfg.layout.num_buildings = 3;
+    cfg.layout.aps_per_building = 5;
+    return trace::generate_campus_trace(cfg);
+  }();
+  return world;
+}
+
+TEST(ReplayDriver, SequentialSharedOnlineS3Golden) {
+  // One learning selector observes all three domains, so an encounter
+  // learnt in one building moves θ for the others: the placements
+  // depend on the global event order, which this digest pins.
+  const trace::GeneratedTrace& w = roaming_world();
+  core::EvaluationConfig eval;
+  eval.train_days = 2;
+  eval.test_days = 1;
+  const social::SocialIndexModel model =
+      core::train_from_workload(w.network, w.workload, eval);
+  core::OnlineS3Selector shared(&w.network, &model);
+  const sim::ReplayResult r =
+      ReplayDriver(w.network).run_sequential(w.workload, shared);
+  EXPECT_EQ(r.stats.num_sessions, w.workload.size());
+  EXPECT_EQ(result_digest(r), 17554063597969793744ULL);
+
+  // Sharded, each domain learns alone — a different result.
+  const core::OnlineS3Factory online(&w.network, &model);
+  const sim::ReplayResult sharded =
+      ReplayDriver(w.network).run(w.workload, online);
+  EXPECT_NE(result_digest(sharded), result_digest(r));
+}
+
+/// Shared policy that logs every callback the sequential driver makes,
+/// and always picks the first candidate.
+class CallbackLog final : public sim::ApSelector {
+ public:
+  std::string_view name() const override { return "callback-log"; }
+  ApId select_one(const sim::Arrival& a, const sim::ApLoadTracker&) override {
+    return a.candidates.front();
+  }
+  sim::BatchResult place_batch(const sim::BatchRequest& request,
+                               const sim::ApLoadTracker& loads) override {
+    std::string line = "batch";
+    for (const sim::Arrival& a : request.arrivals) {
+      line += ' ';
+      line += std::to_string(a.session_index);
+    }
+    calls.push_back(line);
+    return sim::ApSelector::place_batch(request, loads);
+  }
+  void on_associate(const sim::Arrival& a, ApId) override {
+    calls.push_back(std::string("assoc ") + std::to_string(a.session_index));
+  }
+  void on_disconnect(std::size_t session, UserId, ApId,
+                     util::SimTime) override {
+    calls.push_back(std::string("disc ") + std::to_string(session));
+  }
+  std::vector<std::string> calls;
+};
+
+/// Two buildings (controllers 0 and 1). Sessions 0, 2, 4 sit in
+/// building 1 and sessions 1, 3, 5 in building 0, so every tie across
+/// domains pits the lower global index against the lower controller.
+trace::Trace two_domain_ties() {
+  return make_trace(6, {
+      SessionSpec{.user = 0, .connect_s = 0, .disconnect_s = 120,
+                  .building = 1},
+      SessionSpec{.user = 1, .connect_s = 0, .disconnect_s = 120},
+      SessionSpec{.user = 2, .connect_s = 60, .disconnect_s = 600,
+                  .building = 1},
+      SessionSpec{.user = 3, .connect_s = 60, .disconnect_s = 600},
+      SessionSpec{.user = 4, .connect_s = 120, .disconnect_s = 600,
+                  .building = 1},
+      SessionSpec{.user = 5, .connect_s = 120, .disconnect_s = 600},
+  });
+}
+
+TEST(ReplayDriver, SequentialTieOrderAcrossDomains) {
+  const auto net = mini_network(2, 2);
+  const trace::Trace workload = two_domain_ties();
+
+  // 60 s window: both domains' batches fall due at t = 60 and t = 180.
+  // Arrivals at a flush deadline join the batch before it flushes, equal
+  // deadlines flush in controller order, and equal-time departures go
+  // first, by global session index.
+  ReplayDriverConfig windowed;
+  windowed.replay.dispatch_window_s = 60;
+  CallbackLog a;
+  ReplayDriver(net, windowed).run_sequential(workload, a);
+  const std::vector<std::string> expect_windowed{
+      "batch 1 3", "assoc 1", "assoc 3",  // t=60, controller 0
+      "batch 0 2", "assoc 0", "assoc 2",  // t=60, controller 1
+      "disc 0",    "disc 1",              // t=120
+      "batch 5",   "assoc 5",             // t=180, controller 0
+      "batch 4",   "assoc 4",             // t=180, controller 1
+      "disc 2",    "disc 3",    "disc 4", "disc 5",  // t=600
+  };
+  EXPECT_EQ(a.calls, expect_windowed);
+
+  // Zero window: every arrival flushes at once, so arrivals order by
+  // global session index across domains, after equal-time departures.
+  ReplayDriverConfig immediate;
+  immediate.replay.dispatch_window_s = 0;
+  CallbackLog b;
+  ReplayDriver(net, immediate).run_sequential(workload, b);
+  const std::vector<std::string> expect_immediate{
+      "batch 0", "assoc 0", "batch 1", "assoc 1",  // t=0
+      "batch 2", "assoc 2", "batch 3", "assoc 3",  // t=60
+      "disc 0",  "disc 1",                         // t=120
+      "batch 4", "assoc 4", "batch 5", "assoc 5",
+      "disc 2",  "disc 3",  "disc 4",  "disc 5",   // t=600
+  };
+  EXPECT_EQ(b.calls, expect_immediate);
 }
 
 TEST(ReplayDriver, EffectiveThreadsResolvesZeroToAtLeastOne) {
