@@ -1,9 +1,13 @@
 #include "s3/social/model_io.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
+
+#include "s3/util/stream.h"
 
 namespace s3::social {
 
@@ -36,14 +40,54 @@ void put_vec(std::ostream& os, const std::vector<T>& v) {
   }
 }
 
-template <typename T>
-bool get_vec(std::istream& is, std::vector<T>& v, std::size_t n) {
-  v.resize(n);
-  if (n == 0) return true;
-  is.read(reinterpret_cast<char*>(v.data()),
-          static_cast<std::streamsize>(n * sizeof(T)));
-  return static_cast<bool>(is);
+/// How many more `size`-byte records a seekable stream holds; nullopt
+/// when it cannot seek. Counts are checked against this by division, so
+/// no count's byte size can overflow on the way.
+std::optional<std::uint64_t> records_left(std::istream& is,
+                                          std::uint64_t size) {
+  const std::optional<std::uint64_t> bytes = util::remaining_bytes(is);
+  if (!bytes) return std::nullopt;
+  return *bytes / size;
 }
+
+/// a * b, or nullopt when the product overflows.
+std::optional<std::uint64_t> product(std::uint64_t a, std::uint64_t b) {
+  std::uint64_t out = 0;
+  if (__builtin_mul_overflow(a, b, &out)) return std::nullopt;
+  return out;
+}
+
+/// Reads `n` elements. Fails early when a seekable stream holds fewer;
+/// otherwise the vector grows chunk by chunk, so a count the stream
+/// cannot back never allocates far past the bytes present.
+template <typename T>
+bool get_vec(std::istream& is, std::vector<T>& v, std::uint64_t n) {
+  if (const auto left = records_left(is, sizeof(T)); left && n > *left) {
+    return false;
+  }
+  constexpr std::uint64_t kChunk = std::uint64_t{1} << 16;
+  v.clear();
+  while (v.size() < n) {
+    const std::size_t at = v.size();
+    const auto take = static_cast<std::size_t>(std::min(n - at, kChunk));
+    v.resize(at + take);
+    is.read(reinterpret_cast<char*>(v.data() + at),
+            static_cast<std::streamsize>(take * sizeof(T)));
+    if (!is) return false;
+  }
+  return true;
+}
+
+/// Shortest text pair row, "a b e c k" (the last row may lack its
+/// newline, so n rows take at least 10n - 1 >= 9n bytes).
+constexpr std::uint64_t kMinPairRowBytes = 9;
+/// Packed binary pair record: two user ids and three counters.
+constexpr std::uint64_t kPairRecordBytes =
+    2 * sizeof(UserId) + sizeof(PairStore::Stats::encounters) +
+    sizeof(PairStore::Stats::co_leaves) + sizeof(PairStore::Stats::co_comings);
+
+/// User ids are UserId values below the declared count.
+constexpr std::uint64_t kMaxUsers = std::numeric_limits<UserId>::max();
 
 }  // namespace
 
@@ -151,14 +195,16 @@ ModelReadResult read_model(std::istream& is) {
       ls = std::istringstream(line);
       if (!(ls >> key)) return fail("bad users line");
     }
-    if (!(ls >> num_users) || key != "users" || num_users == 0) {
+    if (!(ls >> num_users) || key != "users" || num_users == 0 ||
+        num_users > kMaxUsers) {
       return fail("bad users line");
     }
   }
   {
     std::getline(is, line);
     std::istringstream ls(line);
-    if (!(ls >> key >> num_types) || key != "types" || num_types == 0) {
+    if (!(ls >> key >> num_types) || key != "types" || num_types == 0 ||
+        !product(num_types, num_types)) {
       return fail("bad types line");
     }
   }
@@ -168,7 +214,6 @@ ModelReadResult read_model(std::istream& is) {
     if (!(ls >> key) || key != "type_of_user") {
       return fail("bad type_of_user line");
     }
-    typing.type_of_user.reserve(num_users);
     std::size_t t;
     while (ls >> t) {
       if (t >= num_types) return fail("type id out of range");
@@ -205,6 +250,9 @@ ModelReadResult read_model(std::istream& is) {
       return fail("bad pairs line");
     }
   }
+  const std::optional<std::uint64_t> rows_left =
+      records_left(is, kMinPairRowBytes);
+  if (rows_left && num_pairs > *rows_left) return fail("truncated pair list");
 
   typing.num_types = num_types;
   TypeCoLeaveMatrix matrix(num_types);
@@ -217,7 +265,7 @@ ModelReadResult read_model(std::istream& is) {
     }
   }
 
-  PairStore stats(num_pairs);
+  PairStore stats(rows_left ? num_pairs : 0);
   for (std::size_t p = 0; p < num_pairs; ++p) {
     if (!std::getline(is, line)) return fail("truncated pair list");
     std::istringstream ls(line);
@@ -299,7 +347,13 @@ ModelReadResult read_model_binary(std::istream& is) {
   }
   if (config.alpha < 0.0) return fail("negative alpha");
   if (window_s <= 0 || overlap_s <= 0) return fail("bad event windows");
-  if (num_users == 0 || num_types == 0) return fail("bad counts");
+  const std::optional<std::uint64_t> num_centroids =
+      product(num_types, apps::kNumCategories);
+  const std::optional<std::uint64_t> num_cells = product(num_types, num_types);
+  if (num_users == 0 || num_users > kMaxUsers || num_types == 0 ||
+      !num_centroids || !num_cells) {
+    return fail("bad counts");
+  }
   if (config.trained_end_s < -1) return fail("bad trained_end_s");
   config.events.co_leave_window = util::SimTime(window_s);
   config.events.min_encounter_overlap = util::SimTime(overlap_s);
@@ -308,17 +362,17 @@ ModelReadResult read_model_binary(std::istream& is) {
   typing.num_types = num_types;
   std::vector<std::uint32_t> types;
   if (!get_vec(is, types, num_users)) return fail("truncated typing");
-  typing.type_of_user.reserve(num_users);
+  typing.type_of_user.reserve(types.size());
   for (std::uint32_t t : types) {
     if (t >= num_types) return fail("type id out of range");
     typing.type_of_user.push_back(t);
   }
-  if (!get_vec(is, typing.centroids, num_types * apps::kNumCategories)) {
+  if (!get_vec(is, typing.centroids, *num_centroids)) {
     return fail("truncated centroids");
   }
 
   std::vector<double> matrix_values;
-  if (!get_vec(is, matrix_values, num_types * num_types)) {
+  if (!get_vec(is, matrix_values, *num_cells)) {
     return fail("truncated matrix");
   }
   TypeCoLeaveMatrix matrix(num_types);
@@ -333,7 +387,12 @@ ModelReadResult read_model_binary(std::istream& is) {
 
   std::uint64_t num_pairs = 0;
   if (!get(is, num_pairs)) return fail("truncated pair count");
-  PairStore stats(num_pairs);
+  const std::optional<std::uint64_t> pairs_left =
+      records_left(is, kPairRecordBytes);
+  if (pairs_left && num_pairs > *pairs_left) {
+    return fail("truncated pair list");
+  }
+  PairStore stats(pairs_left ? num_pairs : 0);
   for (std::uint64_t p = 0; p < num_pairs; ++p) {
     UserId a = 0, b = 0;
     PairStore::Stats ps;

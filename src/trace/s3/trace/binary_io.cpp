@@ -3,6 +3,8 @@
 #include <cstring>
 #include <fstream>
 
+#include "s3/util/stream.h"
+
 namespace s3::trace {
 
 namespace {
@@ -107,22 +109,6 @@ BinaryReadResult fail(BinaryReadError code, std::string msg) {
   return {std::nullopt, std::move(msg), code};
 }
 
-/// Bytes left between the current position and the end of a seekable
-/// stream; nullopt when the stream cannot be positioned (pipes).
-std::optional<std::uint64_t> remaining_bytes(std::istream& is) {
-  const std::istream::pos_type here = is.tellg();
-  if (here == std::istream::pos_type(-1)) return std::nullopt;
-  is.seekg(0, std::ios::end);
-  const std::istream::pos_type end = is.tellg();
-  is.seekg(here);
-  if (end == std::istream::pos_type(-1) || !is) {
-    is.clear();
-    is.seekg(here);
-    return std::nullopt;
-  }
-  return static_cast<std::uint64_t>(end - here);
-}
-
 }  // namespace
 
 BinaryReadResult read_binary(std::istream& is) {
@@ -144,7 +130,7 @@ BinaryReadResult read_binary(std::istream& is) {
   // fit the bytes actually present *before* reading records — a
   // corrupt count surfaces as one clear error instead of 96 bytes of
   // adjacent garbage parsed as a record.
-  if (const std::optional<std::uint64_t> avail = remaining_bytes(is)) {
+  if (const std::optional<std::uint64_t> avail = util::remaining_bytes(is)) {
     const std::uint64_t need = h.num_sessions * sizeof(DiskRecord);
     if (*avail < need) {
       return fail(BinaryReadError::kSizeMismatch,

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <sstream>
+#include <string>
 
 #include "s3/trace/generator.h"
 #include "s3/wlan/radio.h"
@@ -217,6 +220,84 @@ TEST(ModelIo, BinaryRejectsTruncation) {
     std::stringstream trunc(full.substr(0, cut));
     EXPECT_FALSE(read_model_binary(trunc).model.has_value()) << cut;
   }
+}
+
+/// Overwrites the little-endian u64 at `offset` of a binary model.
+void patch_u64(std::string& bytes, std::size_t offset, std::uint64_t v) {
+  std::memcpy(bytes.data() + offset, &v, sizeof v);
+}
+
+/// Reads `bytes` with both readers' contract for hostile input: an
+/// error result, never an exception or a crash.
+template <typename Reader>
+void expect_rejected(const std::string& bytes, Reader read) {
+  std::stringstream in(bytes);
+  ModelReadResult r;
+  EXPECT_NO_THROW(r = read(in));
+  EXPECT_FALSE(r.model.has_value());
+  EXPECT_FALSE(r.error.empty());
+}
+
+// Binary layout of sample_model(): 40 bytes of magic and config, then
+// num_users (offset 40) and num_types (48), 5 type ids, 12 centroids,
+// a 2x2 matrix, and the pair count at offset 204.
+constexpr std::size_t kUsersOffset = 40;
+constexpr std::size_t kTypesOffset = 48;
+constexpr std::size_t kPairCountOffset = 204;
+
+TEST(ModelIo, BinaryRejectsOverflowingTypeCount) {
+  std::stringstream ss;
+  ASSERT_TRUE(write_model_binary(ss, sample_model()));
+  // 72 bytes: header with one user and 2^63 types (num_types * 6 and
+  // num_types^2 both wrap to 0), one type id, a zero pair count.
+  std::string bytes = ss.str().substr(0, 56);
+  patch_u64(bytes, kUsersOffset, 1);
+  patch_u64(bytes, kTypesOffset, std::uint64_t{1} << 63);
+  bytes.append(16, '\0');
+  ASSERT_EQ(bytes.size(), 72u);
+  expect_rejected(bytes, read_model_binary);
+}
+
+TEST(ModelIo, BinaryRejectsUserCountBeyondUserIdRange) {
+  std::stringstream ss;
+  ASSERT_TRUE(write_model_binary(ss, sample_model()));
+  std::string bytes = ss.str();
+  patch_u64(bytes, kUsersOffset, std::uint64_t{1} << 40);
+  expect_rejected(bytes, read_model_binary);
+}
+
+TEST(ModelIo, BinaryRejectsPairCountBeyondStream) {
+  std::stringstream ss;
+  ASSERT_TRUE(write_model_binary(ss, sample_model()));
+  std::string bytes = ss.str();
+  ASSERT_GT(bytes.size(), kPairCountOffset + 8);
+  patch_u64(bytes, kPairCountOffset, std::uint64_t{1} << 60);
+  expect_rejected(bytes, read_model_binary);
+}
+
+TEST(ModelIo, TextRejectsUserCountBeyondUserIdRange) {
+  std::stringstream ss;
+  ASSERT_TRUE(write_model(ss, sample_model()));
+  std::string text = ss.str();
+  const std::size_t at = text.find("\nusers 5\n");
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, 9, "\nusers 1000000000000000\n");
+  expect_rejected(text, static_cast<ModelReadResult (*)(std::istream&)>(
+                            read_model));
+}
+
+TEST(ModelIo, TextAcceptsLastPairRowWithoutNewline) {
+  // The pair-count check against the bytes left must not reject a
+  // hand-edited file whose last row has no newline.
+  std::stringstream ss;
+  ASSERT_TRUE(write_model(ss, sample_model()));
+  std::string text = ss.str();
+  ASSERT_EQ(text.back(), '\n');
+  text.pop_back();
+  std::stringstream in(text);
+  const ModelReadResult r = read_model(in);
+  ASSERT_TRUE(r.model.has_value()) << r.error;
+  EXPECT_EQ(r.model->pair_stats().size(), 2u);
 }
 
 TEST(ModelIo, SaveLoadDispatchAndAutoSniff) {
