@@ -5,13 +5,13 @@
 // float accumulation order in the load tracker, unordered-container
 // iteration history in the policy — so the only way to restart a
 // replica bit-identically is a member-wise copy. The checkpoint owns
-// its own policy clone and assignment buffer, with the engine copy's
-// internal references rebound onto them, so it stays valid however the
-// source replica evolves (or dies) afterwards.
+// its own policy clone and an engine copy (with the domain's
+// placements) rebound onto it, so it stays valid however the source
+// replica evolves (or dies) afterwards.
 //
-// Installing a checkpoint clones it *again* (clone_policy /
-// assignment_copy / ControllerEngine rebind copy), so one checkpoint in
-// the event log can seed any number of rejoining replicas.
+// Installing a checkpoint clones it *again* (clone_policy +
+// ControllerEngine rebind copy), so one checkpoint in the event log
+// can seed any number of rejoining replicas.
 //
 // Deliberately lock-free: checkpoints are created and installed by the
 // single thread walking their ReplicationGroup, like the EventLog that
@@ -19,8 +19,6 @@
 #pragma once
 
 #include <memory>
-#include <span>
-#include <vector>
 
 #include "s3/fault/replica_snapshot.h"
 #include "s3/runtime/controller_engine.h"
@@ -31,20 +29,15 @@ namespace s3::repl {
 
 class EngineCheckpoint {
  public:
-  /// Captures `engine` (whose policy is `policy`, writing into
-  /// `assignment`). Requires the policy to support clone(); callers
-  /// gate snapshotting on that.
+  /// Captures `engine`, whose policy is `policy`. Requires the policy
+  /// to support clone(); callers gate snapshotting on that.
   EngineCheckpoint(const runtime::ControllerEngine& engine,
-                   const sim::ApSelector& policy,
-                   std::span<const ApId> assignment)
-      : policy_(policy.clone()),
-        assignment_(assignment.begin(), assignment.end()),
-        state_(engine.snapshot()) {
+                   const sim::ApSelector& policy)
+      : policy_(policy.clone()), state_(engine.snapshot()) {
     S3_REQUIRE(policy_ != nullptr,
                "EngineCheckpoint: policy does not support clone() — "
                "snapshot-based catch-up is unavailable for it");
-    engine_ = std::make_unique<runtime::ControllerEngine>(
-        engine, *policy_, std::span<ApId>(assignment_));
+    engine_ = std::make_unique<runtime::ControllerEngine>(engine, *policy_);
   }
 
   /// Logical state at capture (term/applied_records left to the
@@ -52,19 +45,18 @@ class EngineCheckpoint {
   /// record carries.
   const fault::ReplicaSnapshot& state() const noexcept { return state_; }
 
-  /// Fresh copies for a replica install; the caller owns all three and
-  /// must keep policy + assignment alive as long as the engine.
+  /// Fresh policy for a replica install; the caller rebind-copies
+  /// engine() onto it and must keep the policy alive as long as that
+  /// engine.
   std::unique_ptr<sim::ApSelector> clone_policy() const {
     std::unique_ptr<sim::ApSelector> p = policy_->clone();
     S3_ASSERT(p != nullptr, "EngineCheckpoint: checkpointed policy lost clone");
     return p;
   }
-  std::vector<ApId> assignment_copy() const { return assignment_; }
   const runtime::ControllerEngine& engine() const noexcept { return *engine_; }
 
  private:
   std::unique_ptr<sim::ApSelector> policy_;
-  std::vector<ApId> assignment_;
   std::unique_ptr<runtime::ControllerEngine> engine_;
   fault::ReplicaSnapshot state_;
 };

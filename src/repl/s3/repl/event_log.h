@@ -26,9 +26,9 @@
 // (check::validate_log_truncation) no replica can ever need those.
 //
 // Deliberately lock-free: a log belongs to one ReplicationGroup, whose
-// whole walk runs on a single worker thread; readers (the driver,
-// tests) only look after the join. Cross-domain observations that do
-// need concurrency go through FailoverLedger instead.
+// whole walk runs on a single worker thread, and nothing outside the
+// group reads it. Across domains the driver merges each group's
+// failover events after the join.
 #pragma once
 
 #include <cstdint>

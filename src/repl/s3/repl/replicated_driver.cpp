@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "s3/repl/failover_ledger.h"
 #include "s3/runtime/replay_driver.h"
 
 namespace s3::repl {
@@ -26,11 +25,7 @@ unsigned ReplicatedReplayDriver::effective_threads() const noexcept {
 
 ReplicatedReplayResult ReplicatedReplayDriver::run(
     const trace::Trace& workload, const sim::SelectorFactory& factory) const {
-  // One group per non-empty domain. Groups stream failover events into
-  // the ledger as they promote; it hands back a canonically ordered
-  // snapshot after the join, so the merge never depends on thread
-  // schedule.
-  FailoverLedger ledger;
+  // One group per non-empty domain.
   std::vector<std::unique_ptr<ReplicationGroup>> groups;
   const std::vector<sim::ReplayStats> stats = runtime::run_sharded(
       *net_, workload, config_.threads,
@@ -40,7 +35,6 @@ ReplicatedReplayResult ReplicatedReplayDriver::run(
             *net_, workload, c, std::move(sessions), factory, config_.replay,
             *config_.injector, config_.recovery, config_.repl));
         ReplicationGroup* group = groups.back().get();
-        group->set_failover_ledger(&ledger);
         return [group] {
           group->run();
           return group->stats();
@@ -48,11 +42,14 @@ ReplicatedReplayResult ReplicatedReplayDriver::run(
       });
 
   // Merge after the join, sequentially, in controller order: each group
-  // publishes into its own disjoint assignment slots.
+  // publishes into its own disjoint assignment slots and contributes its
+  // failovers.
   std::vector<ApId> assignment(workload.size(), kInvalidAp);
   ReplicatedReplayResult out;
   for (const auto& g : groups) {
     g->publish_assignment(assignment);
+    out.failovers.insert(out.failovers.end(), g->failovers().begin(),
+                         g->failovers().end());
     const ReplStats& rs = g->repl_stats();
     out.repl.replicas = std::max(out.repl.replicas, rs.replicas);
     out.repl.failovers += rs.failovers;
@@ -74,7 +71,13 @@ ReplicatedReplayResult ReplicatedReplayDriver::run(
     out.repl.max_catchup_records =
         std::max(out.repl.max_catchup_records, rs.max_catchup_records);
   }
-  out.failovers = ledger.events();
+  // Stable, so exact ties keep the controller order of the concatenation.
+  std::stable_sort(out.failovers.begin(), out.failovers.end(),
+                   [](const FailoverEvent& a, const FailoverEvent& b) {
+                     if (a.when != b.when) return a.when < b.when;
+                     if (a.domain != b.domain) return a.domain < b.domain;
+                     return a.promoted_replica < b.promoted_replica;
+                   });
   out.result = sim::ReplayResult{workload.with_assignments(assignment),
                                  runtime::merge_stats(stats)};
   return out;

@@ -34,7 +34,8 @@ struct ReplicatedReplayResult {
   /// Replication accounting merged across domains (replicas/final_term
   /// take the max, everything else sums).
   ReplStats repl;
-  /// Every promotion and headless restart, sorted by (time, domain).
+  /// Every domain's takeovers, stable-sorted by (time, domain, promoted
+  /// replica); exact ties keep each domain's own order.
   std::vector<FailoverEvent> failovers;
 };
 

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "s3/check/validators.h"
-#include "s3/repl/failover_ledger.h"
 #include "s3/util/error.h"
 #include "s3/util/metrics.h"
 #include "s3/util/rng.h"
@@ -74,10 +73,9 @@ ReplicationGroup::ReplicationGroup(
     r.policy = factory.create(domain);
     S3_ASSERT(r.policy != nullptr,
               "ReplicationGroup: factory returned a null policy");
-    r.assignment.assign(workload.size(), kInvalidAp);
     r.engine = std::make_unique<runtime::ControllerEngine>(
-        net, workload, domain, sessions, *r.policy, config,
-        std::span<ApId>(r.assignment), &injector, recovery);
+        net, workload, domain, sessions, *r.policy, config, &injector,
+        recovery);
     replicas_.push_back(std::move(r));
   }
   repl_stats_.replicas = count;
@@ -122,9 +120,8 @@ std::size_t ReplicationGroup::elect(std::size_t exclude) const {
 
 void ReplicationGroup::install_snapshot(Replica& r, const SnapshotEntry& entry) {
   r.policy = entry.checkpoint->clone_policy();
-  r.assignment = entry.checkpoint->assignment_copy();
   r.engine = std::make_unique<runtime::ControllerEngine>(
-      entry.checkpoint->engine(), *r.policy, std::span<ApId>(r.assignment));
+      entry.checkpoint->engine(), *r.policy);
   // The checkpoint holds the state after every record below its anchor;
   // the kSnapshot record itself replays as a control record.
   r.applied = entry.index;
@@ -230,8 +227,8 @@ void ReplicationGroup::append_primary(RecordKind kind, util::SimTime when,
 
 void ReplicationGroup::append_snapshot(util::SimTime when) {
   Replica& p = primary();
-  auto checkpoint = std::make_shared<const EngineCheckpoint>(
-      *p.engine, *p.policy, std::span<const ApId>(p.assignment));
+  auto checkpoint = std::make_shared<const EngineCheckpoint>(*p.engine,
+                                                            *p.policy);
   log_.append_snapshot(p.term, when, std::move(checkpoint));
   p.applied = log_.size();
   replayable_since_snapshot_ = 0;
@@ -387,7 +384,7 @@ void ReplicationGroup::run_headless(const util::TimeInterval& window) {
   ev.promoted_replica = primary_index_;
   ev.new_term = r.term;
   ev.kind = FailoverKind::kHeadless;
-  record_failover(ev);
+  failovers_.push_back(ev);
 }
 
 void ReplicationGroup::handle_outage(const util::TimeInterval& window) {
@@ -448,7 +445,7 @@ void ReplicationGroup::handle_outage(const util::TimeInterval& window) {
   ev.converged = report.ok();
   ev.kind = FailoverKind::kPromotion;
   ev.snapshot_install = repl_stats_.snapshot_installs > installs_before;
-  record_failover(ev);
+  failovers_.push_back(ev);
 }
 
 ControllerId ReplicationGroup::choose_adopter(util::SimTime at) const {
@@ -503,10 +500,9 @@ void ReplicationGroup::handle_loss(const util::TimeInterval& window) {
     a.policy = factory_->create(domain_);
     S3_ASSERT(a.policy != nullptr,
               "ReplicationGroup: factory returned a null policy");
-    a.assignment.assign(workload_->size(), kInvalidAp);
     a.engine = std::make_unique<runtime::ControllerEngine>(
         *net_, *workload_, domain_, sessions_, *a.policy, replay_config_,
-        std::span<ApId>(a.assignment), injector_, recovery_);
+        injector_, recovery_);
   }
   replicas_.push_back(std::move(a));
   const std::size_t adopter_index = replicas_.size() - 1;
@@ -547,7 +543,7 @@ void ReplicationGroup::handle_loss(const util::TimeInterval& window) {
   ev.kind = FailoverKind::kAdoption;
   ev.adopter = adopter;
   ev.snapshot_install = seed != nullptr;
-  record_failover(ev);
+  failovers_.push_back(ev);
 }
 
 void ReplicationGroup::handle_handback() {
@@ -599,17 +595,12 @@ void ReplicationGroup::handle_handback() {
   ev.kind = FailoverKind::kHandback;
   ev.adopter = adopter_controller_;
   ev.snapshot_install = repl_stats_.snapshot_installs > installs_before;
-  record_failover(ev);
+  failovers_.push_back(ev);
 
   // Retire the transient adopter replica.
   replicas_.pop_back();
   adopter_active_ = false;
   adopter_controller_ = kInvalidController;
-}
-
-void ReplicationGroup::record_failover(const FailoverEvent& ev) {
-  failovers_.push_back(ev);
-  if (ledger_ != nullptr) ledger_->record(ev);
 }
 
 void ReplicationGroup::run() {
@@ -698,10 +689,7 @@ const sim::ReplayStats& ReplicationGroup::stats() const {
 
 void ReplicationGroup::publish_assignment(std::span<ApId> global) const {
   S3_REQUIRE(finalized_, "ReplicationGroup: publish before run()");
-  const Replica& p = primary();
-  S3_REQUIRE(global.size() == p.assignment.size(),
-             "ReplicationGroup: assignment size mismatch");
-  for (const std::size_t s : sessions_) global[s] = p.assignment[s];
+  primary().engine->publish(global);
 }
 
 fault::ReplicaSnapshot ReplicationGroup::snapshot() const {

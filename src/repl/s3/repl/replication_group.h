@@ -146,8 +146,6 @@ struct ReplStats {
   std::uint64_t max_catchup_records = 0;
 };
 
-class FailoverLedger;
-
 class ReplicationGroup {
  public:
   /// Mirrors ControllerEngine's constructor contract; `factory` is
@@ -168,36 +166,22 @@ class ReplicationGroup {
   /// then finalizes the acting primary.
   void run();
 
-  ControllerId domain() const noexcept { return domain_; }
-
   /// Acting primary's replay stats (valid after run()).
   const sim::ReplayStats& stats() const;
 
   /// Copies the acting primary's domain-session placements into the
-  /// global assignment vector.
+  /// global assignment vector (ControllerEngine::publish).
   void publish_assignment(std::span<ApId> global) const;
 
   const ReplStats& repl_stats() const noexcept { return repl_stats_; }
+  /// This domain's takeovers, in the order they happened.
   std::span<const FailoverEvent> failovers() const noexcept {
     return failovers_;
   }
 
-  /// Streams every failover event into `ledger` (in addition to the
-  /// local failovers() list) as it happens, so a driver can observe
-  /// promotions across domains while groups are still running. Must be
-  /// set before run(); the ledger must outlive it.
-  void set_failover_ledger(FailoverLedger* ledger) noexcept {
-    ledger_ = ledger;
-  }
-  const EventLog& log() const noexcept { return log_; }
-
-  /// Acting primary's snapshot with term/applied filled in.
-  fault::ReplicaSnapshot snapshot() const;
-
  private:
   struct Replica {
     std::unique_ptr<sim::ApSelector> policy;
-    std::vector<ApId> assignment;
     std::unique_ptr<runtime::ControllerEngine> engine;
     std::uint64_t term = 1;
     std::uint64_t applied = 0;  ///< log records applied
@@ -210,6 +194,8 @@ class ReplicationGroup {
 
   Replica& primary() noexcept { return replicas_[primary_index_]; }
   const Replica& primary() const noexcept { return replicas_[primary_index_]; }
+  /// Acting primary's snapshot with term/applied filled in.
+  fault::ReplicaSnapshot snapshot() const;
 
   std::uint64_t max_term() const noexcept;
   /// Deterministic election among alive replicas: highest term, then
@@ -224,8 +210,8 @@ class ReplicationGroup {
   /// snapshot past it (or stalls until one exists). Returns the number
   /// of records replayed.
   std::uint64_t catch_up(Replica& r);
-  /// Replaces `r`'s engine/policy/assignment with fresh clones of the
-  /// checkpoint and moves its position to the snapshot's anchor.
+  /// Replaces `r`'s engine/policy with fresh clones of the checkpoint
+  /// and moves its position to the snapshot's anchor.
   void install_snapshot(Replica& r, const SnapshotEntry& entry);
   /// Appends a record for a step the primary just applied and advances
   /// its position.
@@ -283,12 +269,8 @@ class ReplicationGroup {
     std::size_t replica;
     util::SimTime at;
   };
-  /// Appends to failovers_ and mirrors the event to ledger_ (if set).
-  void record_failover(const FailoverEvent& ev);
-
   std::vector<PendingRestart> pending_restarts_;
   std::vector<FailoverEvent> failovers_;
-  FailoverLedger* ledger_ = nullptr;
   ReplStats repl_stats_;
   bool finalized_ = false;
 };

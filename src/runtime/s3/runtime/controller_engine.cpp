@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "s3/check/contract.h"
 #include "s3/check/validators.h"
@@ -72,24 +73,26 @@ ControllerEngine::ControllerEngine(const wlan::Network& net,
                                    std::vector<std::size_t> sessions,
                                    sim::ApSelector& policy,
                                    const sim::ReplayConfig& config,
-                                   std::span<ApId> assignment,
                                    const fault::FaultInjector* injector,
                                    const fault::RecoveryPolicy& recovery)
     : net_(&net),
       workload_(&workload),
       domain_(domain),
       sessions_(std::move(sessions)),
+      placements_(sessions_.size(), kInvalidAp),
       policy_(&policy),
       config_(config),
-      assignment_(assignment),
       tracker_(net),
       injector_(injector),
       recovery_(recovery),
       degradation_(recovery.healthy_after_clean_batches) {
   S3_REQUIRE(config_.dispatch_window_s >= 0,
              "replay: negative dispatch window");
-  S3_REQUIRE(assignment_.size() == workload.size(),
-             "ControllerEngine: assignment size mismatch");
+  S3_REQUIRE(std::adjacent_find(sessions_.begin(), sessions_.end(),
+                                std::greater_equal<>()) == sessions_.end(),
+             "ControllerEngine: sessions must be strictly ascending");
+  S3_REQUIRE(sessions_.empty() || sessions_.back() < workload.size(),
+             "ControllerEngine: session index out of range");
   stats_.num_sessions = sessions_.size();
   sim_metrics().sessions->add(sessions_.size());
   if (injector_ != nullptr) {
@@ -98,49 +101,25 @@ ControllerEngine::ControllerEngine(const wlan::Network& net,
 }
 
 ControllerEngine::ControllerEngine(const ControllerEngine& other,
-                                   sim::ApSelector& policy,
-                                   std::span<ApId> assignment)
+                                   sim::ApSelector& policy)
     : ControllerEngine(other) {
-  S3_REQUIRE(assignment.size() == assignment_.size(),
-             "ControllerEngine: rebind assignment size mismatch");
   policy_ = &policy;
-  assignment_ = assignment;
 }
 
-bool ControllerEngine::done() const noexcept {
-  return next_arrival_ >= sessions_.size() && departures_.empty() &&
-         batch_.empty() && retries_.empty();
+ApId& ControllerEngine::placement(std::size_t session_index) {
+  const auto it =
+      std::lower_bound(sessions_.begin(), sessions_.end(), session_index);
+  S3_ASSERT(it != sessions_.end() && *it == session_index,
+            "ControllerEngine: session outside this domain");
+  return placements_[static_cast<std::size_t>(it - sessions_.begin())];
 }
 
-util::SimTime ControllerEngine::next_arrival_time() const noexcept {
-  return next_arrival_ < sessions_.size()
-             ? workload_->sessions()[sessions_[next_arrival_]].connect
-             : kNever;
-}
-
-std::size_t ControllerEngine::next_arrival_session() const noexcept {
-  return sessions_[next_arrival_];
-}
-
-util::SimTime ControllerEngine::next_departure_time() const noexcept {
-  return departures_.empty() ? kNever : departures_.top().when;
-}
-
-std::size_t ControllerEngine::next_departure_session() const noexcept {
-  return departures_.top().session_index;
-}
-
-util::SimTime ControllerEngine::flush_deadline() const noexcept {
-  return batch_.empty() ? kNever : batch_deadline_;
-}
-
-util::SimTime ControllerEngine::next_fault_time() const noexcept {
-  return next_fault_ < fault_events_.size() ? fault_events_[next_fault_].when
-                                            : kNever;
-}
-
-util::SimTime ControllerEngine::next_retry_time() const noexcept {
-  return retries_.empty() ? kNever : retries_.next_due();
+void ControllerEngine::publish(std::span<ApId> assignment) const {
+  S3_REQUIRE(assignment.size() == workload_->size(),
+             "ControllerEngine: assignment size mismatch");
+  for (std::size_t i = 0; i < sessions_.size(); ++i) {
+    assignment[sessions_[i]] = placements_[i];
+  }
 }
 
 sim::Arrival ControllerEngine::make_arrival(std::size_t session_index,
@@ -283,7 +262,7 @@ void ControllerEngine::recover_ap(ApId ap, util::SimTime when) {
     tracker_.disconnect(best, donor);
     policy_->on_disconnect(best, info.user, donor, when);
     tracker_.associate(best, ap, info.user, info.demand_mbps);
-    assignment_[best] = ap;
+    placement(best) = ap;
     info.ap = ap;
     sim::Arrival moved_arrival;
     moved_arrival.session_index = best;
@@ -363,15 +342,14 @@ void ControllerEngine::flush() {
         degradation_.on_batch_start(model_out && policy_->uses_social_model());
   }
 
-  place_batch(batch_, now, faults);
+  place_batch(now, faults);
   batch_.clear();
   batch_deadline_ = kNever;
 }
 
-std::vector<ApId> ControllerEngine::place_batch(
-    std::span<const sim::Arrival> arrivals, util::SimTime now,
-    const sim::FaultControls& faults) {
-  if (arrivals.empty()) return {};
+void ControllerEngine::place_batch(util::SimTime now,
+                                   const sim::FaultControls& faults) {
+  const std::span<const sim::Arrival> arrivals = batch_;
   const SimMetrics& m = sim_metrics();
 
   sim::BatchRequest request;
@@ -423,22 +401,21 @@ std::vector<ApId> ControllerEngine::place_batch(
           ->add();
     }
     tracker_.associate(a.session_index, ap, a.user, a.demand_mbps);
-    assignment_[a.session_index] = ap;
+    ApId& slot = placement(a.session_index);
+    // A session's departure is queued at its first placement; after an
+    // eviction + re-association the original entry still fires and
+    // resolves the then-current AP through active_.
+    const bool first = slot == kInvalidAp;
+    slot = ap;
     policy_->on_associate(a, ap);
-    if (injector_ == nullptr) {
-      departures_.push(Departure{sessions[a.session_index].disconnect,
-                                 a.session_index, ap, a.user});
-    } else {
+    if (injector_ != nullptr) {
       active_[a.session_index] = ActiveInfo{a.user, ap, a.demand_mbps};
       if (requeued_.erase(a.session_index) > 0) ++stats_.reassociations;
       attempts_.erase(a.session_index);
-      // The departure is queued exactly once per session; after an
-      // eviction + re-association the original entry still fires and
-      // resolves the then-current AP through active_.
-      if (departure_queued_.insert(a.session_index).second) {
-        departures_.push(Departure{sessions[a.session_index].disconnect,
-                                   a.session_index, ap, a.user});
-      }
+    }
+    if (first) {
+      departures_.push(Departure{sessions[a.session_index].disconnect,
+                                 a.session_index, ap, a.user});
     }
   }
   ++stats_.num_batches;
@@ -450,30 +427,36 @@ std::vector<ApId> ControllerEngine::place_batch(
   if (check::contracts_enabled()) {
     check::validate_load_state(tracker_);
   }
-  return std::move(chosen);
 }
 
 ControllerEngine::Step ControllerEngine::next_step() const noexcept {
-  if (done()) return Step{};
-  const util::SimTime ta = next_arrival_time();
-  const util::SimTime td = next_departure_time();
-  const util::SimTime tf = flush_deadline();
+  const util::SimTime ta =
+      next_arrival_ < sessions_.size()
+          ? workload_->sessions()[sessions_[next_arrival_]].connect
+          : kNever;
+  const util::SimTime td = departures_.empty() ? kNever : departures_.top().when;
+  const util::SimTime tf = batch_.empty() ? kNever : batch_deadline_;
+  const util::SimTime tfault =
+      next_fault_ < fault_events_.size() ? fault_events_[next_fault_].when
+                                         : kNever;
+  const util::SimTime tr = retries_.empty() ? kNever : retries_.next_due();
+  // Pending AP fault flips alone do not keep a drained domain going.
+  if (ta == kNever && td == kNever && tf == kNever && tr == kNever) return {};
   // Fault flips first (an AP that dies at t must not accept the batch
   // due at t), then departures free capacity, then arrivals join their
   // batch, then due retries merge into it, then flushes. Without an
-  // injector the fault and retry times stay kNever, and !done() keeps
-  // one of td/ta/tf finite, so the order reduces to departures →
-  // arrivals → flush.
-  const util::SimTime tfault = next_fault_time();
-  const util::SimTime tr = next_retry_time();
+  // injector the fault and retry times stay kNever, so the order
+  // reduces to departures → arrivals → flush.
   if (tfault != kNever && tfault <= td && tfault <= ta && tfault <= tr &&
       tfault <= tf) {
     return {StepKind::kFault, tfault};
   }
   if (td != kNever && td <= ta && td <= tr && td <= tf) {
-    return {StepKind::kDeparture, td};
+    return {StepKind::kDeparture, td, departures_.top().session_index};
   }
-  if (ta != kNever && ta <= tr && ta <= tf) return {StepKind::kArrival, ta};
+  if (ta != kNever && ta <= tr && ta <= tf) {
+    return {StepKind::kArrival, ta, sessions_[next_arrival_]};
+  }
   if (tr != kNever && tr <= tf) return {StepKind::kRetries, tr};
   return {StepKind::kFlush, tf};
 }
@@ -528,8 +511,8 @@ fault::ReplicaSnapshot ControllerEngine::snapshot() const {
   fault::ReplicaSnapshot snap;
   snap.controller = domain_;
   snap.placements.reserve(sessions_.size());
-  for (const std::size_t s : sessions_) {
-    snap.placements.push_back({s, assignment_[s]});
+  for (std::size_t i = 0; i < sessions_.size(); ++i) {
+    snap.placements.push_back({sessions_[i], placements_[i]});
   }
   snap.retries = retries_.sorted_entries();
   snap.attempts.reserve(attempts_.size());
@@ -571,7 +554,10 @@ void ControllerEngine::postpone_retries_until(util::SimTime t) {
 }
 
 void ControllerEngine::run() {
-  while (!done()) apply_step(next_step().kind);
+  for (Step step = next_step(); step.kind != StepKind::kNone;
+       step = next_step()) {
+    apply_step(step.kind);
+  }
   finalize();
 }
 

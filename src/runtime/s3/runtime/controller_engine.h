@@ -3,20 +3,18 @@
 // One ControllerEngine owns everything a single controller domain
 // needs to replay its slice of the workload: the domain's arrival
 // stream (global session indices into the shared trace), a departure
-// queue, the pending association batch, a policy instance, and an
-// association-load tracker. Controllers are fully independent domains
-// (§V-A): candidate sets never cross buildings under the default radio
-// model, so engines share no mutable state and can run on different
-// threads without synchronization. Each engine writes its placements
-// into a disjoint set of slots of the shared assignment vector.
+// queue, the pending association batch, a policy instance, an
+// association-load tracker, and the AP chosen for each of its sessions.
+// Controllers are fully independent domains (§V-A): candidate sets
+// never cross buildings under the default radio model, so engines share
+// no mutable state and can run on different threads without
+// synchronization. After the walk a driver copies each engine's
+// placements into the workload-wide assignment with publish().
 //
-// The engine exposes two execution styles:
-//   * run() — walk the domain's whole event stream (sharded mode, one
-//     engine per thread-pool task);
-//   * peek/process stepping — the ReplayDriver's sequential mode
-//     interleaves engines on a global clock against one shared
-//     policy instance, reproducing the original single-threaded
-//     replay loop bit-for-bit.
+// The engine steps one way: next_step() names the event it would
+// process and apply_step() processes it. run() loops over the two for
+// a sharded domain; the sequential driver interleaves several engines
+// by their next_step(); the replication layer logs every step.
 #pragma once
 
 #include <limits>
@@ -43,11 +41,10 @@ class ControllerEngine {
   static constexpr util::SimTime kNever =
       util::SimTime(std::numeric_limits<std::int64_t>::max());
 
-  /// `sessions` are global indices into `workload.sessions()`, in trace
-  /// (connect-time) order, all belonging to controller `domain`. The
-  /// engine keeps references to `net`, `workload`, `policy` and (when
-  /// given) `injector`, and writes into `assignment` (one slot per
-  /// workload session); all must outlive it.
+  /// `sessions` are global indices into `workload.sessions()`, in
+  /// ascending (trace, connect-time) order, all belonging to controller
+  /// `domain`. The engine keeps references to `net`, `workload`,
+  /// `policy` and (when given) `injector`; all must outlive it.
   ///
   /// With a non-null `injector` the engine additionally realizes the
   /// fault schedule for its domain: AP outages evict stations into a
@@ -60,67 +57,24 @@ class ControllerEngine {
   ControllerEngine(const wlan::Network& net, const trace::Trace& workload,
                    ControllerId domain, std::vector<std::size_t> sessions,
                    sim::ApSelector& policy, const sim::ReplayConfig& config,
-                   std::span<ApId> assignment,
                    const fault::FaultInjector* injector = nullptr,
                    const fault::RecoveryPolicy& recovery = {});
 
   /// Rebind copy — the replication layer's checkpoint/install
   /// primitive. Member-wise copy of `other`'s entire mutable state
-  /// (tracker float sums, queue contents, unordered-container history
-  /// and all) with the policy and assignment references rewired to the
-  /// caller's own instances: `policy` must be a clone() of `other`'s
-  /// policy and `assignment` a caller-owned copy of `other`'s slots
-  /// (same size; the caller copies the backing vector). The copy's
-  /// future steps are bit-identical to the original's.
-  ControllerEngine(const ControllerEngine& other, sim::ApSelector& policy,
-                   std::span<ApId> assignment);
-
-  ControllerId domain() const noexcept { return domain_; }
+  /// (placements, tracker float sums, queue contents, unordered-container
+  /// history and all) with the policy reference rewired to `policy`,
+  /// which must be a clone() of `other`'s policy. The copy's future
+  /// steps are bit-identical to the original's.
+  ControllerEngine(const ControllerEngine& other, sim::ApSelector& policy);
 
   /// Processes every event of this domain, then finalizes stats.
   void run();
 
-  // --- Fine-grained stepping (sequential global-interleave mode) ----
-  // Tie order at equal timestamps matches the historic monolith:
-  // departures free capacity first, then arrivals join their batch,
-  // then due batches flush.
-
-  bool done() const noexcept;
-
-  util::SimTime next_arrival_time() const noexcept;
-  /// Global session index of the next arrival (only valid when
-  /// next_arrival_time() != kNever).
-  std::size_t next_arrival_session() const noexcept;
-
-  util::SimTime next_departure_time() const noexcept;
-  std::size_t next_departure_session() const noexcept;
-
-  /// Deadline of the pending batch; kNever when nothing is pending.
-  util::SimTime flush_deadline() const noexcept;
-
-  void process_arrival();
-  void process_departure();
-  void flush();
-
-  /// Re-entrant dispatch-and-commit building block: routes a prepared
-  /// arrival batch through the policy and commits the placements
-  /// (tracker, assignment slots, policy on_associate, departure and
-  /// retry bookkeeping), returning the chosen AP per arrival. Unlike
-  /// flush() it does not read or reset the staged batch_ state, so an
-  /// external driver (the serve pipeline, the replication layer) can
-  /// inject batches at any point of the event walk without corrupting
-  /// a pending trace-driven batch. flush() delegates here; calling it
-  /// with the same arrivals is byte-identical to the historic inline
-  /// path. Arrival session indices must be valid workload sessions.
-  std::vector<ApId> place_batch(std::span<const sim::Arrival> arrivals,
-                                util::SimTime now,
-                                const sim::FaultControls& faults = {});
-
-  // --- Uniform stepping (replication layer, s3::repl) ---------------
-
-  /// One event-loop step kind, in the engine's priority order.
+  /// One event-loop step kind, in the engine's priority order at equal
+  /// timestamps.
   enum class StepKind : std::uint8_t {
-    kNone = 0,  ///< done() — nothing left to process
+    kNone = 0,  ///< nothing left to process
     kFault,
     kDeparture,
     kArrival,
@@ -130,12 +84,14 @@ class ControllerEngine {
   struct Step {
     StepKind kind = StepKind::kNone;
     util::SimTime when = kNever;
+    /// Global session index of the arrival or departure (0 otherwise).
+    std::size_t session = 0;
   };
 
-  /// The next event this engine would process — exactly the branch
-  /// run() takes (fault flips, departures, arrivals, due retries,
-  /// flush). kNone iff done(). Pure; calling it repeatedly without
-  /// applying is free.
+  /// The next event this engine would process: fault flips, then
+  /// departures, arrivals, due retries and the batch flush. kNone once
+  /// the domain is drained. Pure; calling it repeatedly without applying
+  /// is free.
   Step next_step() const noexcept;
 
   /// Applies one step of the given kind and returns a cheap O(1) fold
@@ -149,6 +105,10 @@ class ControllerEngine {
   /// layer and left zero here.
   fault::ReplicaSnapshot snapshot() const;
 
+  /// Copies the domain's placements into `assignment` (one slot per
+  /// workload session); slots of other domains are left untouched.
+  void publish(std::span<ApId> assignment) const;
+
   // --- Headless mode (controller down, no backup to promote) --------
 
   /// Discards the next arrival — nobody is listening; counted in
@@ -159,11 +119,6 @@ class ControllerEngine {
   void drop_pending_batch();
   /// Parks all pending retries until `t` (the controller restart).
   void postpone_retries_until(util::SimTime t);
-
-  /// Current degradation state (kHealthy when no injector is attached).
-  fault::HealthState health_state() const noexcept {
-    return degradation_.state();
-  }
 
   /// Computes derived statistics (mean batch size); call once after
   /// the event walk. run() does this itself.
@@ -185,6 +140,20 @@ class ControllerEngine {
     }
   };
 
+  std::uint64_t step_digest() const noexcept;
+  void process_arrival();
+  void process_departure();
+  void flush();
+  /// Routes the staged batch through the policy at `now` and commits
+  /// the placements (tracker, placement slots, policy on_associate,
+  /// departure and retry bookkeeping).
+  void place_batch(util::SimTime now, const sim::FaultControls& faults);
+  /// Placement slot of global session `session_index` (binary search
+  /// over the ascending sessions_).
+  ApId& placement(std::size_t session_index);
+  sim::Arrival make_arrival(std::size_t session_index,
+                            util::SimTime connect) const;
+
   // --- fault path (active only when injector_ != nullptr) -----------
 
   struct ActiveInfo {
@@ -193,9 +162,6 @@ class ControllerEngine {
     double demand_mbps = 0.0;
   };
 
-  util::SimTime next_fault_time() const noexcept;
-  util::SimTime next_retry_time() const noexcept;
-  std::uint64_t step_digest() const noexcept;
   void process_fault();
   void process_retries();
   /// Kicks every station off `ap` into the retry queue.
@@ -206,16 +172,14 @@ class ControllerEngine {
   /// once the attempt cap is reached.
   void defer_session(std::size_t session_index, util::SimTime now);
   void abandon_session(std::size_t session_index);
-  sim::Arrival make_arrival(std::size_t session_index,
-                            util::SimTime connect) const;
 
   const wlan::Network* net_;
   const trace::Trace* workload_;
   ControllerId domain_;
-  std::vector<std::size_t> sessions_;  // global indices, connect order
+  std::vector<std::size_t> sessions_;  // global indices, ascending
+  std::vector<ApId> placements_;       // per sessions_ position
   sim::ApSelector* policy_;
   sim::ReplayConfig config_;
-  std::span<ApId> assignment_;
 
   sim::ApLoadTracker tracker_;
   std::priority_queue<Departure, std::vector<Departure>, DepartureLater>
@@ -232,8 +196,7 @@ class ControllerEngine {
   fault::RetryQueue retries_;
   std::unordered_map<std::size_t, ActiveInfo> active_;
   std::unordered_map<std::size_t, std::uint32_t> attempts_;
-  std::unordered_set<std::size_t> requeued_;          // awaiting re-placement
-  std::unordered_set<std::size_t> departure_queued_;  // departure pushed once
+  std::unordered_set<std::size_t> requeued_;  // awaiting re-placement
 
   sim::ReplayStats stats_;
 };

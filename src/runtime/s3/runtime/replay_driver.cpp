@@ -150,7 +150,6 @@ sim::ReplayResult ReplayDriver::run(const trace::Trace& workload,
                   config_.injector->plan().controller_losses.empty()),
              "ReplayDriver: controller-outage/loss plans require the "
              "replicated driver (s3/repl/replicated_driver.h)");
-  std::vector<ApId> assignment(workload.size(), kInvalidAp);
   // One policy + engine per non-empty domain.
   std::vector<std::unique_ptr<sim::ApSelector>> policies;
   std::vector<std::unique_ptr<ControllerEngine>> engines;
@@ -162,13 +161,15 @@ sim::ReplayResult ReplayDriver::run(const trace::Trace& workload,
                   "ReplayDriver: factory returned a null policy");
         engines.push_back(std::make_unique<ControllerEngine>(
             *net_, workload, c, std::move(sessions), *policies.back(),
-            config_.replay, assignment, config_.injector, config_.recovery));
+            config_.replay, config_.injector, config_.recovery));
         ControllerEngine* engine = engines.back().get();
         return [engine] {
           engine->run();
           return engine->stats();
         };
       });
+  std::vector<ApId> assignment(workload.size(), kInvalidAp);
+  for (const auto& e : engines) e->publish(assignment);
   return sim::ReplayResult{workload.with_assignments(assignment),
                            merge_stats(stats)};
 }
@@ -182,77 +183,45 @@ sim::ReplayResult ReplayDriver::run_sequential(const trace::Trace& workload,
   check_workload(*net_, workload);
   std::vector<std::vector<std::size_t>> shards =
       shard_sessions(*net_, workload);
-  std::vector<ApId> assignment(workload.size(), kInvalidAp);
-
   std::vector<std::unique_ptr<ControllerEngine>> engines;
   for (ControllerId c = 0; c < shards.size(); ++c) {
     if (shards[c].empty()) continue;
     engines.push_back(std::make_unique<ControllerEngine>(
-        *net_, workload, c, std::move(shards[c]), policy, config_.replay,
-        assignment));
+        *net_, workload, c, std::move(shards[c]), policy, config_.replay));
   }
 
-  constexpr util::SimTime kNever = ControllerEngine::kNever;
+  // Each engine's next step is its own departure → arrival → flush
+  // choice, so the least (when, kind, session) over all engines is the
+  // historic single-loop order: departures and arrivals by (time,
+  // global session index), equal flush deadlines in controller order
+  // (the strict < keeps the first engine).
+  using Step = ControllerEngine::Step;
+  const auto before = [](const Step& a, const Step& b) {
+    if (a.when != b.when) return a.when < b.when;
+    if (a.kind != b.kind) return a.kind < b.kind;
+    return a.session < b.session;
+  };
   while (true) {
-    // Global minima over the engines. Arrivals and departures order by
-    // (time, global session index) — exactly the single heap / single
-    // cursor of the historic monolith; flushes take the first engine
-    // (ascending controller id) at the minimum deadline.
-    ControllerEngine* arrival_engine = nullptr;
-    util::SimTime ta = kNever;
-    std::size_t arrival_session = 0;
-    ControllerEngine* departure_engine = nullptr;
-    util::SimTime td = kNever;
-    std::size_t departure_session = 0;
-    ControllerEngine* flush_engine = nullptr;
-    util::SimTime tf = kNever;
-
+    ControllerEngine* due = nullptr;
+    Step best;
     for (const auto& e : engines) {
-      const util::SimTime ea = e->next_arrival_time();
-      if (ea != kNever) {
-        const std::size_t s = e->next_arrival_session();
-        if (!arrival_engine || ea < ta || (ea == ta && s < arrival_session)) {
-          arrival_engine = e.get();
-          ta = ea;
-          arrival_session = s;
-        }
-      }
-      const util::SimTime ed = e->next_departure_time();
-      if (ed != kNever) {
-        const std::size_t s = e->next_departure_session();
-        if (!departure_engine || ed < td ||
-            (ed == td && s < departure_session)) {
-          departure_engine = e.get();
-          td = ed;
-          departure_session = s;
-        }
-      }
-      const util::SimTime ef = e->flush_deadline();
-      if (ef != kNever && ef < tf) {
-        flush_engine = e.get();
-        tf = ef;
+      const Step step = e->next_step();
+      if (step.kind == ControllerEngine::StepKind::kNone) continue;
+      if (due == nullptr || before(step, best)) {
+        due = e.get();
+        best = step;
       }
     }
-
-    if (!arrival_engine && !departure_engine && !flush_engine) break;
-
-    // Tie order at equal timestamps: departures free capacity first,
-    // then new arrivals join their batch, then due batches flush.
-    if (departure_engine && td <= ta && td <= tf) {
-      departure_engine->process_departure();
-      continue;
-    }
-    if (arrival_engine && ta <= tf) {
-      arrival_engine->process_arrival();
-      continue;
-    }
-    flush_engine->flush();
+    if (due == nullptr) break;
+    due->apply_step(best.kind);
   }
 
+  std::vector<ApId> assignment(workload.size(), kInvalidAp);
   std::vector<sim::ReplayStats> shard_stats;
   shard_stats.reserve(engines.size());
   for (auto& e : engines) {
     e->finalize();
+    e->publish(assignment);
     shard_stats.push_back(e->stats());
   }
   return sim::ReplayResult{workload.with_assignments(assignment),

@@ -5,18 +5,21 @@
 // domains are independent (disjoint APs, disjoint arrivals, per-shard
 // policy instances from a SelectorFactory), the merged result —
 // assigned trace, statistics, instrumentation counters — is identical
-// for every thread count, including 1. Wall clock scales with the
-// number of cores until the largest single domain dominates.
+// for every thread count, including 1. Each engine owns its domain's
+// placements; the driver publishes them into the assigned trace after
+// the join, in controller order. Wall clock scales with the number of
+// cores until the largest single domain dominates.
 //
 // Two modes:
 //   * run(factory)        — sharded, one policy instance per domain,
 //                           threads from ReplayDriverConfig;
 //   * run_sequential(...) — one shared policy instance observing every
-//                           domain's events in global time order; the
-//                           original single-threaded replay loop
-//                           bit-for-bit, for stateful policies that
-//                           learn across domains and as the
-//                           differential-testing reference.
+//                           domain's events in global time order: each
+//                           round applies the least next_step() over
+//                           all engines. The original single-threaded
+//                           replay loop bit-for-bit, for stateful
+//                           policies that learn across domains and as
+//                           the differential-testing reference.
 #pragma once
 
 #include <functional>
@@ -79,7 +82,8 @@ class ReplayDriver {
 
   /// Sequential replay with one shared policy instance: engines are
   /// interleaved on a global clock with the historic tie order
-  /// (departures, then arrivals, then due batch flushes).
+  /// (departures, then arrivals, each by global session index, then
+  /// due batch flushes in controller order).
   sim::ReplayResult run_sequential(const trace::Trace& workload,
                                    sim::ApSelector& policy) const;
 
