@@ -143,11 +143,7 @@ bool run_line_protocol(ServePipeline& pipeline, std::istream& in,
       response << "social users=" << s.users << " cliques=" << s.cliques
                << " singletons=" << s.singletons << " largest=" << s.largest
                << " cohesion=" << cohesion << " exact=" << (s.exact ? 1 : 0)
-               << " incremental=" << (s.incremental ? 1 : 0)
-               << " cover_version=" << s.cover_version
-               << " solved=" << s.components_solved
-               << " reused=" << s.components_reused
-               << " reseeds=" << s.reseeds;
+               << " edges=" << s.edges << " components=" << s.components;
       respond();
     } else {
       reject("unknown-verb", verb);

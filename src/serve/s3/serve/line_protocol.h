@@ -19,16 +19,15 @@
 //   stats placements=<n> departures=<n> active=<n> fallback=<n>
 //         overloads=<n> rejected=<n> updated_pairs=<n>   (one line)
 //   social users=<n> cliques=<n> singletons=<n> largest=<n>
-//          cohesion=<x.xxxxxx> exact=<0|1> incremental=<0|1>
-//          cover_version=<n> solved=<n> reused=<n>
-//          reseeds=<n>                                   (one line)
+//          cohesion=<x.xxxxxx> exact=<0|1> edges=<n>
+//          components=<n>                                (one line)
 //
-// `social` serves ServePipeline::social_snapshot(): the maintained
-// clique cover of the live θ-graph plus the cohesion score (θ mass of
-// clique pairs currently sharing an AP). The first query seeds the
-// maintained graph; later ones re-read θ of the model's live pairs
-// and re-solve only dirty components (incremental=1). Its cost falls
-// on the query, never on arrive/depart.
+// `social` serves ServePipeline::social_snapshot(): the clique cover
+// of the live θ-graph plus the cohesion score (θ mass of clique pairs
+// currently sharing an AP), solved from scratch on every query.
+// `edges` and `components` size the graph that query solved — one
+// component holding every user is the slow case. Its cost falls on
+// the query, never on arrive/depart.
 //
 // Malformed lines get a structured reply and processing continues:
 //

@@ -18,8 +18,8 @@
 // sequential; bench_serve shards domains across workers). Calls for
 // the same domain serialize on the domain mutex; the shared social
 // store serializes only per hash bucket. Neither takes a
-// pipeline-wide lock: the `social` monitor catches up on its own
-// schedule (social_snapshot).
+// pipeline-wide lock, and the `social` monitor (social_snapshot)
+// takes none at all.
 //
 // The fault machinery is reused unchanged from replay: an optional
 // FaultInjector prunes dead APs from candidate sets, declares model
@@ -40,7 +40,6 @@
 #include "s3/fault/fault_injector.h"
 #include "s3/fault/health_board.h"
 #include "s3/serve/session_registry.h"
-#include "s3/social/clique_maintainer.h"
 #include "s3/social/presence_table.h"
 #include "s3/social/shared_social_model.h"
 #include "s3/sim/load_state.h"
@@ -85,29 +84,24 @@ struct PlaceResult {
   bool overloaded = false;  ///< chosen AP had no bandwidth headroom
 };
 
-/// Monitoring view of the live social structure: the maintained clique
-/// cover of the θ-graph over the shared model, plus how much of its
-/// social mass current placements keep together. Served by
-/// ServePipeline::social_snapshot() (the `social` protocol verb)
-/// without rebuilding the graph — the pipeline's CliqueMaintainer
-/// re-reads θ of the shared model's live pairs and re-solves only the
-/// components whose edges moved.
+/// Monitoring view of the live social structure: the clique cover of
+/// the strict θ > s3.theta_threshold graph over the shared model, plus
+/// how much of its social mass current placements keep together.
+/// Served by ServePipeline::social_snapshot() (the `social` protocol
+/// verb). The cover is canonical: components ordered by their minimum
+/// vertex, each solved with social::clique_cover on its induced
+/// subgraph, members ascending.
 struct SocialSnapshot {
   std::size_t users = 0;
   std::size_t cliques = 0;     ///< multi-member cliques in the cover
   std::size_t singletons = 0;  ///< size-1 cover entries
   std::size_t largest = 0;
   bool exact = true;  ///< no extraction hit the node budget
-  /// False when this query had to reseed from scratch (the first call).
-  bool incremental = false;
   /// Σ over cliques of ΣC(AP): the θ mass of member pairs whose
-  /// current placements share an AP, summed afresh on every query.
+  /// current placements share an AP.
   double cohesion = 0.0;
-  std::uint64_t cover_version = 0;
-  // Cumulative maintainer telemetry.
-  std::uint64_t components_solved = 0;
-  std::uint64_t components_reused = 0;
-  std::uint64_t reseeds = 0;
+  std::size_t edges = 0;       ///< θ-graph edges this query solved
+  std::size_t components = 0;  ///< its connected components
 };
 
 struct ServeStats {
@@ -150,14 +144,12 @@ class ServePipeline {
     return active_.load(std::memory_order_relaxed);
   }
 
-  /// Current social structure (see SocialSnapshot). Thread-safe; the
-  /// first call seeds the maintained θ-graph (O(users²) θ probes).
-  /// Later calls re-apply the current θ of every live pair (O(live
-  /// pairs)) — the shared model never erases one, so every pair whose
-  /// θ moved is among them — and re-solve only dirty components.
-  /// Concurrent placements keep streaming: the snapshot serializes
-  /// only against other snapshots.
-  SocialSnapshot social_snapshot();
+  /// Current social structure (see SocialSnapshot), solved from
+  /// scratch on every call: O(users²) θ probes, then one clique cover
+  /// per connected component. Thread-safe and lock-free: concurrent
+  /// placements keep streaming, and θ moving under the query only
+  /// means some pairs are read before their latest event.
+  SocialSnapshot social_snapshot() const;
 
   fault::HealthState domain_health(ControllerId domain) const;
 
@@ -185,14 +177,6 @@ class ServePipeline {
   std::atomic<std::size_t> next_session_{0};
   std::atomic<std::size_t> active_{0};
 
-  /// Social monitoring state (social_snapshot): the maintained cover,
-  /// touched only by snapshots. Same shape as Domain: the struct owns
-  /// the lock its fields are tied to.
-  struct SocialView {
-    util::Mutex mu;
-    social::CliqueMaintainer view S3_GUARDED_BY(mu);
-  };
-  SocialView social_;
   /// Latest AP each user is placed on (kInvalidAp when absent); sized
   /// at construction, so lock-free updates from any thread.
   std::vector<std::atomic<ApId>> user_ap_;

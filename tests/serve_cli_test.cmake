@@ -33,8 +33,8 @@ run_cli(train --in "${WORK}/collected.csv" --out "${WORK}/model.txt")
 # Request script: two users share an AP neighbourhood for >10 min and
 # leave within 5 min of each other — an encounter and a co-leaving the
 # live model must record (visible as updated_pairs in `stats`). The
-# `social` queries read the maintained clique cover before any
-# departure, after the co-leaving, and at the end.
+# `social` queries solve the clique cover before any departure, after
+# the co-leaving, and at the end.
 file(WRITE "${WORK}/requests.txt"
 "# serve protocol script
 arrive 1 10 0 8 6 0 1.5
@@ -73,8 +73,7 @@ list(LENGTH lines nlines)
 if(NOT nlines EQUAL 14)
   message(FATAL_ERROR "expected 14 response lines, got ${nlines}:\n${responses}")
 endif()
-# `social` replies are pinned through exact=; the counters after it
-# describe how the maintainer got there, not what it serves.
+# `social` replies are pinned through exact= here, and in full below.
 set(social_cover
     "^social users=300 cliques=27 singletons=29 largest=33 cohesion=0\\.000000 exact=1 ")
 set(expected_patterns
@@ -102,6 +101,20 @@ foreach(pattern IN LISTS expected_patterns)
   math(EXPR i "${i} + 1")
 endforeach()
 message(STATUS "serve golden: 14/14 response lines match")
+
+# The θ graph each `social` reply solved: the co-leaving adds one edge
+# and merges no component.
+set(social_at 4 8 13)
+set(social_edges 4931 4932 4932)
+foreach(k RANGE 2)
+  list(GET social_at ${k} at)
+  list(GET social_edges ${k} edges)
+  list(GET lines ${at} line)
+  if(NOT line MATCHES "${social_cover}edges=${edges} components=5$")
+    message(FATAL_ERROR
+            "social reply ${at}: got \"${line}\", want edges=${edges} components=5")
+  endif()
+endforeach()
 
 # A social policy without a model must be refused.
 execute_process(COMMAND ${CLI} serve --buildings 2 --aps 1
