@@ -27,13 +27,11 @@ class ThetaProvider;
 ///     converges on the provider's current θ for every touched pair.
 ///   * When a poll reports `complete == false`, records the consumer
 ///     had not seen were discarded, and derived state must be rebuilt
-///     from the provider's current state (CliqueMaintainer::reset_from).
+///     from the provider's current state.
 ///   * `epoch` stamps the provider's read_epoch() at the mutation.
 ///
-/// Live consumers in the library do not need a feed:
-/// SharedSocialModel never erases a live pair, so re-reading θ of its
-/// live() keys finds every pair that moved (ServePipeline::
-/// social_snapshot).
+/// No consumer in the library reads a feed: the serve `social` verb
+/// (ServePipeline::social_snapshot) re-reads θ of every pair per query.
 struct ThetaDelta {
   UserPair pair{0, 1};
   double theta = 0.0;    ///< θ(pair) after the mutation
@@ -180,7 +178,7 @@ class WeightedGraph {
 WeightedGraph build_theta_graph(const ThetaProvider& model, double threshold);
 
 /// Enumerates every pair (u, v), u < v, whose θ clears `threshold` —
-/// strictly (`strict`, the batch-graph/CliqueMaintainer edge rule) or
+/// strictly (`strict`, the batch-graph and serve `social` edge rule) or
 /// inclusively (build_theta_graph's rule) — calling
 /// fn(u, v, θ(u, v)) once per qualifying pair in ascending (u, v)
 /// order. Uses the same recorded-pairs CSR pruning as

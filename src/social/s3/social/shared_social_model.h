@@ -22,8 +22,7 @@
 //   * read_epoch() exposes the store's mutation stamp, implementing
 //     the ThetaProvider read-snapshot contract for the live regime;
 //   * no entry is ever erased, so every pair whose θ moved since
-//     training is a key of live() — a consumer mirroring θ catches up
-//     by re-reading those pairs (ServePipeline::social_snapshot).
+//     training is a key of live().
 //
 // Which pairs met and co-left is detected by a PresenceTable
 // (presence_table.h); record_departure() writes one departure's events.
