@@ -7,21 +7,55 @@
 
 namespace s3::social {
 
-std::vector<std::size_t> greedy_coloring(const WeightedGraph& g) {
-  const std::size_t n = g.size();
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
+namespace {
+
+/// The vertices still in play while a cover extracts cliques from the
+/// caller's graph: ascending ids, and the same set as a bitset.
+struct LiveVertices {
+  std::vector<std::size_t> ids;
+  Bitset mask;
+};
+
+LiveVertices all_vertices(const WeightedGraph& g) {
+  LiveVertices live{std::vector<std::size_t>(g.size()), Bitset(g.size())};
+  std::iota(live.ids.begin(), live.ids.end(), std::size_t{0});
+  for (std::size_t v : live.ids) live.mask.set(v);
+  return live;
+}
+
+/// Degree of each live vertex within the live subgraph, indexed by
+/// graph vertex.
+std::vector<std::size_t> live_degrees(const WeightedGraph& g,
+                                      const LiveVertices& live) {
+  std::vector<std::size_t> degree(g.size(), 0);
+  for (std::size_t v : live.ids) {
+    degree[v] = (g.neighbors(v) & live.mask).count();
+  }
+  return degree;
+}
+
+bool has_live_edge(const WeightedGraph& g, const LiveVertices& live) {
+  return std::any_of(live.ids.begin(), live.ids.end(), [&](std::size_t v) {
+    return (g.neighbors(v) & live.mask).any();
+  });
+}
+
+/// Greedy colouring of the live subgraph, indexed by graph vertex.
+std::vector<std::size_t> color_live(const WeightedGraph& g,
+                                    const LiveVertices& live,
+                                    const std::vector<std::size_t>& degree) {
+  const std::size_t n = live.ids.size();
+  std::vector<std::size_t> order = live.ids;
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const std::size_t da = g.degree(a), db = g.degree(b);
-    if (da != db) return da > db;  // largest degree first
+    if (degree[a] != degree[b]) return degree[a] > degree[b];  // largest first
     return a < b;
   });
 
-  std::vector<std::size_t> color(n, 0);
+  std::vector<std::size_t> color(g.size(), 0);
   std::vector<bool> used;
   for (std::size_t v : order) {
     used.assign(n, false);
-    for (std::size_t u = 0; u < n; ++u) {
+    for (std::size_t u : live.ids) {
       if (u != v && g.adjacent(u, v)) used[color[u]] = true;
     }
     // Vertices not yet coloured have colour 0 marked used spuriously
@@ -34,38 +68,33 @@ std::vector<std::size_t> greedy_coloring(const WeightedGraph& g) {
   return color;
 }
 
-namespace {
-
-/// Östergård search state over the colour-ordered, permuted graph.
+/// Östergård search over the live subgraph, with its vertices placed in
+/// colour order.
 class OstergardSearch {
  public:
-  OstergardSearch(const WeightedGraph& g, const CliqueConfig& cfg)
-      : g_(g), cfg_(cfg), n_(g.size()), c_(n_, 0), suffix_(n_, Bitset(n_)) {
+  OstergardSearch(const WeightedGraph& g, const LiveVertices& live,
+                  const CliqueConfig& cfg)
+      : g_(g), cfg_(cfg), n_(live.ids.size()), vertex_(live.ids), c_(n_, 0) {
     // Order: colour ascending, then degree descending — small-colour
     // (sparse) vertices end up late, matching Östergård's suffix walk.
-    const std::vector<std::size_t> color = greedy_coloring(g);
-    order_.resize(n_);
-    std::iota(order_.begin(), order_.end(), std::size_t{0});
-    std::sort(order_.begin(), order_.end(),
+    const std::vector<std::size_t> degree = live_degrees(g, live);
+    const std::vector<std::size_t> color = color_live(g, live, degree);
+    std::sort(vertex_.begin(), vertex_.end(),
               [&](std::size_t a, std::size_t b) {
                 if (color[a] != color[b]) return color[a] < color[b];
-                const std::size_t da = g.degree(a), db = g.degree(b);
-                if (da != db) return da > db;
+                if (degree[a] != degree[b]) return degree[a] > degree[b];
                 return a < b;
               });
 
-    // Permuted adjacency.
+    // Adjacency over search positions.
     adj_.assign(n_, Bitset(n_));
     for (std::size_t i = 0; i < n_; ++i) {
       for (std::size_t j = i + 1; j < n_; ++j) {
-        if (g.adjacent(order_[i], order_[j])) {
+        if (g.adjacent(vertex_[i], vertex_[j])) {
           adj_[i].set(j);
           adj_[j].set(i);
         }
       }
-    }
-    for (std::size_t i = 0; i < n_; ++i) {
-      for (std::size_t j = i; j < n_; ++j) suffix_[i].set(j);
     }
   }
 
@@ -74,14 +103,15 @@ class OstergardSearch {
     for (std::size_t idx = n_; idx-- > 0;) {
       found_ = false;
       stack_.assign(1, idx);
-      Bitset u = adj_[idx] & suffix_[idx];
+      Bitset u = adj_[idx];
+      u.reset_below(idx);  // neighbours within suffix {idx..n-1}
       expand(u, 1, 0.0);
       c_[idx] = best_size_;
       if (aborted_) break;
     }
     CliqueResult result;
     result.vertices.reserve(best_.size());
-    for (std::size_t i : best_) result.vertices.push_back(order_[i]);
+    for (std::size_t i : best_) result.vertices.push_back(vertex_[i]);
     std::sort(result.vertices.begin(), result.vertices.end());
     result.internal_weight = best_weight_;
     result.nodes_explored = nodes_;
@@ -91,7 +121,7 @@ class OstergardSearch {
 
  private:
   double edge_weight(std::size_t i, std::size_t j) const {
-    return g_.weight(order_[i], order_[j]);
+    return g_.weight(vertex_[i], vertex_[j]);
   }
 
   void record_leaf(std::size_t size, double weight) {
@@ -147,10 +177,9 @@ class OstergardSearch {
   const WeightedGraph& g_;
   const CliqueConfig cfg_;
   std::size_t n_;
-  std::vector<std::size_t> order_;
+  std::vector<std::size_t> vertex_;  ///< search position -> graph vertex
   std::vector<Bitset> adj_;
   std::vector<std::size_t> c_;
-  std::vector<Bitset> suffix_;
 
   std::vector<std::size_t> stack_;
   std::vector<std::size_t> best_;
@@ -161,107 +190,53 @@ class OstergardSearch {
   std::uint64_t nodes_ = 0;
 };
 
-}  // namespace
-
-CliqueResult max_clique(const WeightedGraph& g, const CliqueConfig& config) {
+/// One extraction: the maximum clique of the live subgraph, counted on
+/// the metrics bus.
+CliqueResult search(const WeightedGraph& g, const LiveVertices& live,
+                    const CliqueConfig& config) {
   static util::Counter* const extractions =
       util::metrics().counter("social.clique_extractions");
   static util::Counter* const nodes =
       util::metrics().counter("social.clique_nodes_explored");
   static util::Counter* const budget_exhausted =
       util::metrics().counter("social.clique_budget_exhausted");
-  CliqueResult result = OstergardSearch(g, config).run();
+  CliqueResult result = OstergardSearch(g, live, config).run();
   extractions->add();
   nodes->add(result.nodes_explored);
   if (!result.exact) budget_exhausted->add();
   return result;
 }
 
-CliqueResult greedy_clique(const WeightedGraph& g) {
-  CliqueResult result;
-  const std::size_t n = g.size();
-  if (n == 0) return result;
+}  // namespace
 
-  // Seed: highest degree, weight-sum tie-break.
-  std::size_t seed = 0;
-  double seed_weight = -1.0;
-  for (std::size_t v = 0; v < n; ++v) {
-    double w = 0.0;
-    for (std::size_t u = 0; u < n; ++u) {
-      if (u != v && g.adjacent(u, v)) w += g.weight(u, v);
-    }
-    if (g.degree(v) > g.degree(seed) ||
-        (g.degree(v) == g.degree(seed) && w > seed_weight)) {
-      seed = v;
-      seed_weight = w;
-    }
-  }
+std::vector<std::size_t> greedy_coloring(const WeightedGraph& g) {
+  const LiveVertices live = all_vertices(g);
+  return color_live(g, live, live_degrees(g, live));
+}
 
-  std::vector<std::size_t> clique{seed};
-  Bitset candidates = g.neighbors(seed);
-  while (candidates.any()) {
-    // Pick the candidate with the most neighbours among the remaining
-    // candidates (it keeps the most options open), weight tie-break.
-    std::size_t best = n;
-    std::size_t best_deg = 0;
-    double best_w = -1.0;
-    for (std::size_t v = 0; v < n; ++v) {
-      if (!candidates.test(v)) continue;
-      const Bitset remaining = candidates & g.neighbors(v);
-      const std::size_t deg = remaining.count();
-      double w = 0.0;
-      for (std::size_t u : clique) w += g.weight(u, v);
-      if (best == n || deg > best_deg ||
-          (deg == best_deg && w > best_w)) {
-        best = v;
-        best_deg = deg;
-        best_w = w;
-      }
-    }
-    clique.push_back(best);
-    candidates &= g.neighbors(best);
-  }
-  std::sort(clique.begin(), clique.end());
-  result.internal_weight = g.internal_weight(clique);
-  result.vertices = std::move(clique);
-  result.nodes_explored = n;
-  result.exact = false;  // heuristic: no optimality guarantee
-  return result;
+CliqueResult max_clique(const WeightedGraph& g, const CliqueConfig& config) {
+  return search(g, all_vertices(g), config);
 }
 
 CliqueCoverResult clique_cover(const WeightedGraph& g,
                                const CliqueConfig& config) {
   CliqueCoverResult cover;
-  // current-index -> original-index mapping.
-  std::vector<std::size_t> to_original(g.size());
-  std::iota(to_original.begin(), to_original.end(), std::size_t{0});
-
-  WeightedGraph current = g;
-  while (current.size() > 0) {
-    const CliqueResult r = max_clique(current, config);
+  LiveVertices live = all_vertices(g);
+  while (!live.ids.empty()) {
+    CliqueResult r = search(g, live, config);
     S3_ASSERT(!r.vertices.empty(), "clique_cover: empty clique on non-empty graph");
     cover.exact = cover.exact && r.exact;
     cover.nodes_explored += r.nodes_explored;
 
-    if (r.vertices.size() == 1 && current.num_edges() == 0) {
+    if (r.vertices.size() == 1 && !has_live_edge(g, live)) {
       // Only isolated vertices remain: emit them all as singletons.
-      for (std::size_t v = 0; v < current.size(); ++v) {
-        cover.cliques.push_back({to_original[v]});
-      }
+      for (std::size_t v : live.ids) cover.cliques.push_back({v});
       break;
     }
 
-    std::vector<std::size_t> originals;
-    originals.reserve(r.vertices.size());
-    for (std::size_t v : r.vertices) originals.push_back(to_original[v]);
-    cover.cliques.push_back(originals);
-
-    std::vector<std::size_t> keep;
-    current = current.without(r.vertices, &keep);
-    std::vector<std::size_t> next_map;
-    next_map.reserve(keep.size());
-    for (std::size_t v : keep) next_map.push_back(to_original[v]);
-    to_original = std::move(next_map);
+    for (std::size_t v : r.vertices) live.mask.reset(v);
+    std::erase_if(live.ids, [&](std::size_t v) { return !live.mask.test(v); });
+    cover.cliques.push_back(std::move(r.vertices));
   }
   return cover;
 }

@@ -55,20 +55,13 @@ struct CliqueCoverResult {
   std::uint64_t nodes_explored = 0;
 };
 
-/// Iterative clique cover: repeatedly extract a maximum clique (ties
-/// broken by weight) and delete it, until the graph is empty (§IV-A's
-/// procedure). Singleton vertices come out as size-1 cliques at the
-/// end. Cliques are reported in extraction order, each sorted
-/// ascending.
+/// Iterative clique cover (§IV-A's procedure): repeatedly extract a
+/// maximum clique (ties broken by weight) from the subgraph the
+/// not-yet-covered vertices induce, until none remain. Every extraction
+/// runs on `g` itself — no copy is made. Once only isolated vertices
+/// remain they come out as size-1 cliques in ascending order. Cliques
+/// are reported in extraction order, each sorted ascending.
 CliqueCoverResult clique_cover(const WeightedGraph& g,
                                const CliqueConfig& config = {});
-
-/// Greedy maximal-clique heuristic: seed with the highest-degree
-/// vertex, then repeatedly add the candidate with the most neighbours
-/// inside the shrinking candidate set (weight-sum tie-break). O(n²)
-/// per clique; never exceeds the exact solver's size but is orders of
-/// magnitude cheaper — `bench_micro_components` quantifies the
-/// quality/speed trade-off that justified shipping the exact solver.
-CliqueResult greedy_clique(const WeightedGraph& g);
 
 }  // namespace s3::social

@@ -4,6 +4,8 @@
 // interface.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -68,6 +70,15 @@ class Bitset {
   bool test(std::size_t i) const {
     S3_REQUIRE(i < bits_, "Bitset::test out of range");
     return (words_[i >> 6] >> (i & 63)) & 1u;
+  }
+
+  /// Clears bits [0, i); i may equal capacity().
+  void reset_below(std::size_t i) {
+    S3_REQUIRE(i <= bits_, "Bitset::reset_below out of range");
+    const std::size_t w = i >> 6;
+    std::fill(words_.begin(), words_.begin() + static_cast<std::ptrdiff_t>(w),
+              std::uint64_t{0});
+    if (w < words_.size()) words_[w] &= ~std::uint64_t{0} << (i & 63);
   }
 
   bool any() const noexcept {
@@ -156,11 +167,6 @@ class WeightedGraph {
 
   /// True iff every pair in `vertices` is adjacent.
   bool is_clique(const std::vector<std::size_t>& vertices) const;
-
-  /// Copy of this graph with `vertices` (and incident edges) removed;
-  /// `remap_out`, if non-null, receives new-index -> old-index.
-  WeightedGraph without(const std::vector<std::size_t>& vertices,
-                        std::vector<std::size_t>* remap_out = nullptr) const;
 
  private:
   std::size_t n_ = 0;

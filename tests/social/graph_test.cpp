@@ -48,6 +48,30 @@ TEST(Bitset, Intersection) {
   EXPECT_FALSE(c.test(3));
 }
 
+TEST(Bitset, ResetBelowClearsExactlyTheLowBits) {
+  for (const std::size_t capacity : {std::size_t{1}, std::size_t{64},
+                                     std::size_t{130}}) {
+    for (const std::size_t i : {std::size_t{0}, std::size_t{1},
+                                std::size_t{63}, std::size_t{64},
+                                std::size_t{65}, capacity - 1}) {
+      if (i >= capacity) continue;
+      Bitset b(capacity);
+      for (std::size_t bit = 0; bit < capacity; ++bit) b.set(bit);
+      b.reset_below(i);
+      for (std::size_t bit = 0; bit < capacity; ++bit) {
+        EXPECT_EQ(b.test(bit), bit >= i)
+            << "capacity=" << capacity << " i=" << i << " bit=" << bit;
+      }
+      EXPECT_EQ(b.count(), capacity - i);
+    }
+    Bitset full(capacity);
+    full.set(capacity - 1);
+    full.reset_below(capacity);  // the whole range
+    EXPECT_FALSE(full.any());
+    EXPECT_THROW(full.reset_below(capacity + 1), std::invalid_argument);
+  }
+}
+
 TEST(Bitset, BoundsChecked) {
   Bitset b(10);
   EXPECT_THROW(b.set(10), std::invalid_argument);
@@ -96,28 +120,6 @@ TEST(WeightedGraph, IsClique) {
   EXPECT_TRUE(g.is_clique({0, 1}));
   EXPECT_TRUE(g.is_clique({3}));
   EXPECT_FALSE(g.is_clique({0, 1, 3}));
-}
-
-TEST(WeightedGraph, WithoutRemovesAndRemaps) {
-  WeightedGraph g(5);
-  g.add_edge(0, 1, 0.1);
-  g.add_edge(2, 3, 0.2);
-  g.add_edge(3, 4, 0.3);
-  std::vector<std::size_t> remap;
-  const WeightedGraph h = g.without({0, 1}, &remap);
-  EXPECT_EQ(h.size(), 3u);
-  EXPECT_EQ(remap, (std::vector<std::size_t>{2, 3, 4}));
-  EXPECT_TRUE(h.adjacent(0, 1));   // old (2,3)
-  EXPECT_TRUE(h.adjacent(1, 2));   // old (3,4)
-  EXPECT_DOUBLE_EQ(h.weight(1, 2), 0.3);
-  EXPECT_EQ(h.num_edges(), 2u);
-}
-
-TEST(WeightedGraph, WithoutEverything) {
-  WeightedGraph g(2);
-  g.add_edge(0, 1, 1.0);
-  const WeightedGraph h = g.without({0, 1});
-  EXPECT_EQ(h.size(), 0u);
 }
 
 TEST(WeightedGraph, NeighborsBitset) {
