@@ -277,9 +277,9 @@ CheckReport validate_clique_cover(
     }
     if (in_range && clique.size() > 1) {
       // Stale-cover detection: a multi-member clique holding a vertex
-      // with no remaining θ-edges means the cover predates edge
-      // deletions (an incremental maintainer missed an invalidation) —
-      // report it as its own finding, not just a generic non-clique.
+      // with no remaining θ-edges means the cover was computed against
+      // an older edge set (say, a --cover file checked against a newer
+      // model) — report it as its own finding, not a generic non-clique.
       for (const std::size_t v : clique) {
         if (graph.degree(v) == 0) {
           report.add(kCliqueCover,

@@ -129,10 +129,11 @@ struct CliqueCoverCheckOptions {
 
 /// Validates that `cover` partitions the graph's vertices into
 /// cliques: every vertex covered exactly once, every group a clique.
-/// Covers computed against an older edge set are flagged as stale:
-/// a vertex with zero remaining θ-edges inside a multi-member clique
-/// gets its own "is stale" finding (on top of the generic non-clique
-/// one), so incremental-maintenance bugs are named, not inferred.
+/// Covers computed against an older edge set — such as a `--cover`
+/// file checked against a newer model — are flagged as stale: a vertex
+/// with zero remaining θ-edges inside a multi-member clique gets its
+/// own "is stale" finding (on top of the generic non-clique one), so
+/// an outdated cover is named, not inferred.
 CheckReport validate_clique_cover(
     const social::WeightedGraph& graph,
     std::span<const std::vector<std::size_t>> cover,
