@@ -175,3 +175,40 @@ foreach(threads 1 4)
                 "${WORK}/s3_online_loss_t${threads}.csv"
                 ${GOLDEN_s3_online_loss})
 endforeach()
+
+# --- s3_ties --------------------------------------------------------------
+# A campus large enough that the order Algorithm 1's feasible sort leaves
+# among equal-cost distributions reaches the output: swapping its
+# std::sort for std::stable_sort moves both hashes below and none of the
+# 400-user ones above. 8 buildings x 12 APs, 1,200 users over 6 days, a
+# text model trained from the LLF run.
+
+set(TIES_TOPO --buildings 8 --aps 12)
+run_cli(generate --out "${WORK}/ties_w.csv" --users 1200 --days 6
+        ${TIES_TOPO} --seed 7)
+run_cli(replay --in "${WORK}/ties_w.csv" --out "${WORK}/ties_collected.csv"
+        --policy llf ${TIES_TOPO} --threads 1)
+run_cli(train --in "${WORK}/ties_collected.csv"
+        --out "${WORK}/ties_model.txt" ${TIES_TOPO})
+
+set(GOLDEN_s3_ties
+  3348acfc09fa828f87c8f9c0f66621d59f6c5f480b9c28de4606132aa07b6729)
+set(GOLDEN_s3_online_ties
+  8a37058f98dc1aaab75e3873ee1a3f867b373b645a654a2a0669913203d0ad5b)
+
+foreach(threads 1 4)
+  run_cli(replay --in "${WORK}/ties_w.csv"
+          --out "${WORK}/s3_ties_t${threads}.csv"
+          --policy s3 --model "${WORK}/ties_model.txt" ${TIES_TOPO}
+          --threads ${threads})
+  expect_sha256(s3_ties_t${threads} "${WORK}/s3_ties_t${threads}.csv"
+                ${GOLDEN_s3_ties})
+
+  run_cli(replay --in "${WORK}/ties_w.csv"
+          --out "${WORK}/s3_online_ties_t${threads}.csv"
+          --policy s3-online --model "${WORK}/ties_model.txt" ${TIES_TOPO}
+          --threads ${threads})
+  expect_sha256(s3_online_ties_t${threads}
+                "${WORK}/s3_online_ties_t${threads}.csv"
+                ${GOLDEN_s3_online_ties})
+endforeach()
