@@ -5,7 +5,6 @@
 #include <benchmark/benchmark.h>
 
 #include "s3/analysis/balance.h"
-#include "s3/analysis/events.h"
 #include "s3/cluster/kmeans.h"
 #include "s3/core/baselines.h"
 #include "s3/core/evaluation.h"
@@ -13,6 +12,7 @@
 #include "s3/core/selector_factory.h"
 #include "s3/runtime/replay_driver.h"
 #include "s3/social/clique.h"
+#include "s3/social/social_index.h"
 #include "s3/trace/generator.h"
 #include "s3/util/rng.h"
 
@@ -167,7 +167,7 @@ void BM_ExtractPairStats(benchmark::State& state) {
   const sim::ReplayResult r =
       runtime::ReplayDriver(world.network).run_sequential(world.workload, llf);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::extract_pair_stats(r.assigned, {}));
+    benchmark::DoNotOptimize(social::extract_pair_stats(r.assigned, {}));
   }
 }
 BENCHMARK(BM_ExtractPairStats)->Unit(benchmark::kMillisecond);

@@ -5,8 +5,8 @@
 // (off-diagonal 0.17-0.31).
 
 #include "bench_common.h"
-#include "s3/analysis/events.h"
 #include "s3/analysis/profiles.h"
+#include "s3/social/social_index.h"
 #include "s3/social/typing.h"
 #include "s3/util/table.h"
 
@@ -19,8 +19,7 @@ int main(int argc, char** argv) {
   const trace::Trace assigned =
       bench::collected_trace(world.network, world.workload, eval);
 
-  const analysis::PairStatsMap stats =
-      analysis::extract_pair_stats(assigned, {});
+  const social::PairStore stats = social::extract_pair_stats(assigned, {});
   const apps::ProfileStore profiles = analysis::build_profiles(assigned);
   social::UserTypingConfig tc;
   tc.k = 4;

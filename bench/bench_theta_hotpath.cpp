@@ -127,13 +127,16 @@ int main(int argc, char** argv) {
       model.pair_stats().sorted_entries();
 
   const auto t_map = std::chrono::steady_clock::now();
-  analysis::PairStatsMap map;
+  std::unordered_map<UserPair, social::PairStore::Stats, UserPairHash> map;
   map.reserve(entries.size());
   for (const social::PairStore::Entry& e : entries) map[e.pair] = e.stats;
   const double map_build_s = seconds_since(t_map);
 
   const auto t_flat = std::chrono::steady_clock::now();
-  social::PairStore flat = social::PairStore::from_map(map);
+  social::PairStore flat(entries.size());
+  for (const social::PairStore::Entry& e : entries) {
+    flat.assign(e.pair, e.stats);
+  }
   const double flat_build_s = seconds_since(t_flat);
 
   // ---- Lookup workload: every recorded pair + as many absent pairs ---

@@ -6,9 +6,6 @@
 
 namespace s3::analysis {
 
-namespace {
-
-/// Session indices grouped per AP, connect-ordered.
 std::unordered_map<ApId, std::vector<std::size_t>> sessions_by_ap(
     const trace::Trace& trace) {
   std::unordered_map<ApId, std::vector<std::size_t>> by_ap;
@@ -17,58 +14,6 @@ std::unordered_map<ApId, std::vector<std::size_t>> sessions_by_ap(
     by_ap[sessions[i].ap].push_back(i);  // trace is connect-ordered
   }
   return by_ap;
-}
-
-}  // namespace
-
-PairStatsMap extract_pair_stats(const trace::Trace& trace,
-                                const EventExtractionConfig& config) {
-  S3_REQUIRE(trace.fully_assigned(),
-             "extract_pair_stats: trace must be assigned");
-  S3_REQUIRE(config.co_leave_window.seconds() > 0 &&
-                 config.min_encounter_overlap.seconds() > 0,
-             "extract_pair_stats: windows must be positive");
-
-  PairStatsMap stats;
-  const auto sessions = trace.sessions();
-
-  // s3lint: allow(det-unordered-iter): per-AP contributions are integer
-  // counter increments into a pair-keyed map, so accumulation commutes
-  // across AP visit order.
-  for (const auto& [ap, idx] : sessions_by_ap(trace)) {
-    for (std::size_t a = 0; a < idx.size(); ++a) {
-      const trace::SessionRecord& si = sessions[idx[a]];
-      for (std::size_t b = a + 1; b < idx.size(); ++b) {
-        const trace::SessionRecord& sj = sessions[idx[b]];
-        if (sj.connect >= si.disconnect) break;  // no further overlaps
-        if (si.user == sj.user) continue;
-
-        const std::int64_t overlap =
-            std::min(si.disconnect, sj.disconnect).seconds() -
-            std::max(si.connect, sj.connect).seconds();
-        if (overlap <= 0) continue;
-
-        const bool co_came =
-            std::llabs(si.connect.seconds() - sj.connect.seconds()) <=
-            config.co_coming_window.seconds();
-        const bool encountered =
-            overlap >= config.min_encounter_overlap.seconds();
-        if (!co_came && !encountered) continue;  // no event: no map entry
-
-        PairEventStats& ps = stats[UserPair(si.user, sj.user)];
-        if (co_came) ++ps.co_comings;
-        if (encountered) {
-          ++ps.encounters;
-          const std::int64_t left_apart =
-              std::llabs(si.disconnect.seconds() - sj.disconnect.seconds());
-          if (left_apart <= config.co_leave_window.seconds()) {
-            ++ps.co_leaves;
-          }
-        }
-      }
-    }
-  }
-  return stats;
 }
 
 namespace {

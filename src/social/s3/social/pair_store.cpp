@@ -148,17 +148,4 @@ void PairStore::drop_neighbor_index() {
   nbr_slots_.clear();
 }
 
-PairStore PairStore::from_map(const analysis::PairStatsMap& map) {
-  PairStore store(map.size());
-  for (const auto& [pair, stats] : map) store.assign(pair, stats);
-  return store;
-}
-
-analysis::PairStatsMap PairStore::to_map() const {
-  analysis::PairStatsMap map;
-  map.reserve(size_);
-  for_each([&](UserPair p, const Stats& s) { map.emplace(p, s); });
-  return map;
-}
-
 }  // namespace s3::social

@@ -166,10 +166,6 @@ class PairStore {
     return slots_[slot].stats;
   }
 
-  // ---- Conversions ------------------------------------------------------
-  static PairStore from_map(const analysis::PairStatsMap& map);
-  analysis::PairStatsMap to_map() const;
-
  private:
   struct Slot {
     std::uint64_t key = kEmptyKey;

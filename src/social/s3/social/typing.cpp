@@ -87,13 +87,8 @@ double TypeCoLeaveMatrix::diagonal_dominance() const {
          off / static_cast<double>(off_n);
 }
 
-namespace {
-
-/// Shared estimator body: `stats` is any range of {pair, stats}
-/// entries — the hash-map and flat-store backends iterate identically.
-template <typename PairRange>
-TypeCoLeaveMatrix estimate_type_matrix_impl(const UserTyping& typing,
-                                            const PairRange& stats) {
+TypeCoLeaveMatrix estimate_type_matrix(const UserTyping& typing,
+                                       const PairStore& stats) {
   S3_REQUIRE(typing.num_types > 0, "estimate_type_matrix: no types");
   const std::size_t k = typing.num_types;
   std::vector<double> co_leaves(k * k, 0.0);
@@ -119,18 +114,6 @@ TypeCoLeaveMatrix estimate_type_matrix_impl(const UserTyping& typing,
     }
   }
   return matrix;
-}
-
-}  // namespace
-
-TypeCoLeaveMatrix estimate_type_matrix(const UserTyping& typing,
-                                       const analysis::PairStatsMap& stats) {
-  return estimate_type_matrix_impl(typing, stats);
-}
-
-TypeCoLeaveMatrix estimate_type_matrix(const UserTyping& typing,
-                                       const PairStore& stats) {
-  return estimate_type_matrix_impl(typing, stats);
 }
 
 }  // namespace s3::social

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "s3/analysis/events.h"
 #include "s3/apps/app_category.h"
 #include "s3/cluster/gap_statistic.h"
 #include "s3/cluster/kmeans.h"
@@ -82,9 +81,6 @@ class TypeCoLeaveMatrix {
 
 /// Estimates T from typed users and per-pair event statistics:
 /// T[i][j] = Σ co_leaves / Σ encounters over pairs with types {i, j}.
-/// Overloads cover both pair-stats backends (hash map and flat store).
-TypeCoLeaveMatrix estimate_type_matrix(const UserTyping& typing,
-                                       const analysis::PairStatsMap& stats);
 TypeCoLeaveMatrix estimate_type_matrix(const UserTyping& typing,
                                        const PairStore& stats);
 

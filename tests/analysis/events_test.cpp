@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "s3/social/social_index.h"
 #include "testing/mini.h"
 
 namespace s3::analysis {
@@ -9,6 +10,7 @@ namespace {
 
 using s3::testing::SessionSpec;
 using s3::testing::make_trace;
+using social::extract_pair_stats;
 
 EventExtractionConfig windows(std::int64_t co_leave_s = 300,
                               std::int64_t encounter_s = 600) {
@@ -31,8 +33,8 @@ TEST(ExtractPairStats, EncounterNeedsMinOverlap) {
       SessionSpec{.user = 1, .connect_s = 600, .disconnect_s = 2000, .ap = 0},
   });
   const auto stats = extract_pair_stats(t, windows());
-  EXPECT_TRUE(stats.empty() ||
-              stats.at(UserPair(0, 1)).encounters == 0);
+  const PairEventStats* ps = stats.find(UserPair(0, 1));
+  EXPECT_TRUE(ps == nullptr || ps->encounters == 0);
 }
 
 TEST(ExtractPairStats, EncounterAndCoLeave) {
@@ -41,11 +43,12 @@ TEST(ExtractPairStats, EncounterAndCoLeave) {
       SessionSpec{.user = 1, .connect_s = 100, .disconnect_s = 3700, .ap = 0},
   });
   const auto stats = extract_pair_stats(t, windows());
-  const PairEventStats& ps = stats.at(UserPair(0, 1));
-  EXPECT_EQ(ps.encounters, 1u);
-  EXPECT_EQ(ps.co_leaves, 1u);  // left 100 s apart <= 300 s
-  EXPECT_EQ(ps.co_comings, 1u);
-  EXPECT_DOUBLE_EQ(ps.co_leave_probability(), 1.0);
+  const PairEventStats* ps = stats.find(UserPair(0, 1));
+  ASSERT_NE(ps, nullptr);
+  EXPECT_EQ(ps->encounters, 1u);
+  EXPECT_EQ(ps->co_leaves, 1u);  // left 100 s apart <= 300 s
+  EXPECT_EQ(ps->co_comings, 1u);
+  EXPECT_DOUBLE_EQ(ps->co_leave_probability(), 1.0);
 }
 
 TEST(ExtractPairStats, EncounterWithoutCoLeave) {
@@ -54,10 +57,11 @@ TEST(ExtractPairStats, EncounterWithoutCoLeave) {
       SessionSpec{.user = 1, .connect_s = 0, .disconnect_s = 7200, .ap = 0},
   });
   const auto stats = extract_pair_stats(t, windows());
-  const PairEventStats& ps = stats.at(UserPair(0, 1));
-  EXPECT_EQ(ps.encounters, 1u);
-  EXPECT_EQ(ps.co_leaves, 0u);  // left 3600 s apart
-  EXPECT_DOUBLE_EQ(ps.co_leave_probability(), 0.0);
+  const PairEventStats* ps = stats.find(UserPair(0, 1));
+  ASSERT_NE(ps, nullptr);
+  EXPECT_EQ(ps->encounters, 1u);
+  EXPECT_EQ(ps->co_leaves, 0u);  // left 3600 s apart
+  EXPECT_DOUBLE_EQ(ps->co_leave_probability(), 0.0);
 }
 
 TEST(ExtractPairStats, DifferentApNoEvent) {
@@ -88,10 +92,11 @@ TEST(ExtractPairStats, MultipleMeetingsAccumulate) {
                                 .ap = 0});
   }
   const auto stats = extract_pair_stats(make_trace(2, specs, 3), windows());
-  const PairEventStats& ps = stats.at(UserPair(0, 1));
-  EXPECT_EQ(ps.encounters, 3u);
-  EXPECT_EQ(ps.co_leaves, 2u);  // third meeting: user 1 stayed on
-  EXPECT_NEAR(ps.co_leave_probability(), 2.0 / 3.0, 1e-12);
+  const PairEventStats* ps = stats.find(UserPair(0, 1));
+  ASSERT_NE(ps, nullptr);
+  EXPECT_EQ(ps->encounters, 3u);
+  EXPECT_EQ(ps->co_leaves, 2u);  // third meeting: user 1 stayed on
+  EXPECT_NEAR(ps->co_leave_probability(), 2.0 / 3.0, 1e-12);
 }
 
 TEST(ExtractPairStats, WindowWidthChangesCoLeaves) {
@@ -100,10 +105,12 @@ TEST(ExtractPairStats, WindowWidthChangesCoLeaves) {
       SessionSpec{.user = 1, .connect_s = 0, .disconnect_s = 4000, .ap = 0},
   });
   // Left 400 s apart: co-leave under a 600 s window, not under 300 s.
-  EXPECT_EQ(extract_pair_stats(t, windows(600)).at(UserPair(0, 1)).co_leaves,
-            1u);
-  EXPECT_EQ(extract_pair_stats(t, windows(300)).at(UserPair(0, 1)).co_leaves,
-            0u);
+  const auto wide = extract_pair_stats(t, windows(600));
+  const auto narrow = extract_pair_stats(t, windows(300));
+  ASSERT_NE(wide.find(UserPair(0, 1)), nullptr);
+  ASSERT_NE(narrow.find(UserPair(0, 1)), nullptr);
+  EXPECT_EQ(wide.find(UserPair(0, 1))->co_leaves, 1u);
+  EXPECT_EQ(narrow.find(UserPair(0, 1))->co_leaves, 0u);
 }
 
 TEST(ExtractPairStats, RejectsBadWindows) {

@@ -304,8 +304,8 @@ TEST_F(ValidatorsTest, LoadStateChecksAnAssignedTrace) {
 social::SocialIndexModel model_trained_until(std::int64_t trained_end_s) {
   social::SocialModelConfig cfg;
   cfg.trained_end_s = trained_end_s;
-  analysis::PairStatsMap stats;
-  stats[UserPair(0, 1)] = {4, 2, 1};
+  social::PairStore stats;
+  stats.assign(UserPair(0, 1), {4, 2, 1});
   social::UserTyping typing;
   typing.num_types = 1;
   typing.type_of_user = {0, 0};

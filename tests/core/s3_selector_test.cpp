@@ -20,9 +20,9 @@ social::SocialIndexModel explicit_model(
     double alpha = 0.3) {
   social::SocialModelConfig cfg;
   cfg.alpha = alpha;
-  analysis::PairStatsMap stats;
+  social::PairStore stats;
   for (const auto& [u, v, enc, col] : pair_events) {
-    stats[UserPair(u, v)] = {enc, col, 0};
+    stats.assign(UserPair(u, v), {enc, col, 0});
   }
   social::UserTyping typing;
   typing.num_types = 1;

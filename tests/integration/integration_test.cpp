@@ -8,6 +8,7 @@
 #include "s3/analysis/events.h"
 #include "s3/analysis/profiles.h"
 #include "s3/core/evaluation.h"
+#include "s3/social/social_index.h"
 #include "s3/trace/io.h"
 
 namespace s3 {
@@ -86,7 +87,7 @@ TEST(Integration, AnalysisChainOnAssignedTrace) {
   ASSERT_TRUE(r.assigned.fully_assigned());
 
   // Event extraction and profile building run cleanly on the result.
-  const auto stats = analysis::extract_pair_stats(r.assigned, {});
+  const auto stats = social::extract_pair_stats(r.assigned, {});
   EXPECT_GT(stats.size(), 10u);
   const auto leave = analysis::per_user_leave_stats(
       r.assigned, util::SimTime::from_minutes(5));

@@ -18,9 +18,9 @@ SocialIndexModel sample_model() {
   cfg.alpha = 0.25;
   cfg.events.co_leave_window = util::SimTime::from_minutes(5);
   cfg.events.min_encounter_overlap = util::SimTime::from_minutes(10);
-  analysis::PairStatsMap stats;
-  stats[UserPair(0, 1)] = {5, 3, 2};
-  stats[UserPair(2, 4)] = {2, 2, 0};
+  PairStore stats;
+  stats.assign(UserPair(0, 1), {5, 3, 2});
+  stats.assign(UserPair(2, 4), {2, 2, 0});
   UserTyping typing;
   typing.num_types = 2;
   typing.type_of_user = {0, 1, 0, 1, 0};
@@ -90,8 +90,8 @@ TEST(ModelIo, RoundTripTrainedModel) {
 TEST(ModelIo, TrainedEndSurvivesRoundTrip) {
   SocialModelConfig cfg;
   cfg.trained_end_s = 2 * 86400;
-  analysis::PairStatsMap stats;
-  stats[UserPair(0, 1)] = {5, 3, 2};
+  PairStore stats;
+  stats.assign(UserPair(0, 1), {5, 3, 2});
   UserTyping typing;
   typing.num_types = 1;
   typing.type_of_user = {0, 0};
@@ -324,28 +324,29 @@ TEST(ModelIo, SaveLoadDispatchAndAutoSniff) {
 }
 
 TEST(ModelIo, SerializationIsIdenticalAcrossStorageBackends) {
-  // The same logical model assembled through the PairStatsMap overload
-  // and through a hand-built PairStore must serialize to identical
-  // bytes in both formats — written models depend only on contents,
-  // never on hash-table capacity or insertion order.
-  const SocialIndexModel via_map = sample_model();
+  // The same logical model over two differently-built PairStores — one
+  // filled in ascending pair order at the default capacity, one in the
+  // opposite order after churn that grew its table — must serialize to
+  // identical bytes in both formats: written models depend only on
+  // contents, never on table capacity or insertion order.
+  const SocialIndexModel in_order = sample_model();
 
-  SocialModelConfig cfg = via_map.config();
   PairStore store;
-  // Insert in the opposite order, with extra churn to shift capacity.
   store.assign(UserPair(2, 4), {2, 2, 0});
   for (UserId v = 1; v < 40; ++v) store.upsert(UserPair(50 + v, 200 + v));
   for (UserId v = 1; v < 40; ++v) store.erase(UserPair(50 + v, 200 + v));
   store.assign(UserPair(0, 1), {5, 3, 2});
-  const SocialIndexModel via_store = SocialIndexModel::from_parts(
-      cfg, std::move(store), via_map.typing(), via_map.type_matrix());
+  ASSERT_NE(store.capacity(), in_order.pair_stats().capacity());
+  const SocialIndexModel churned = SocialIndexModel::from_parts(
+      in_order.config(), std::move(store), in_order.typing(),
+      in_order.type_matrix());
 
   std::stringstream text_a, text_b, bin_a, bin_b;
-  ASSERT_TRUE(write_model(text_a, via_map));
-  ASSERT_TRUE(write_model(text_b, via_store));
+  ASSERT_TRUE(write_model(text_a, in_order));
+  ASSERT_TRUE(write_model(text_b, churned));
   EXPECT_EQ(text_a.str(), text_b.str());
-  ASSERT_TRUE(write_model_binary(bin_a, via_map));
-  ASSERT_TRUE(write_model_binary(bin_b, via_store));
+  ASSERT_TRUE(write_model_binary(bin_a, in_order));
+  ASSERT_TRUE(write_model_binary(bin_b, churned));
   EXPECT_EQ(bin_a.str(), bin_b.str());
 }
 

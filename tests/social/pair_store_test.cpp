@@ -84,7 +84,7 @@ TEST(PairStore, RandomizedDifferentialAgainstUnorderedMap) {
   // two backends must agree after every mutation batch and at the end.
   std::mt19937_64 rng(20260805);
   PairStore store;
-  analysis::PairStatsMap reference;
+  std::unordered_map<UserPair, Stats, UserPairHash> reference;
   constexpr UserId kUniverse = 64;  // ~2016 distinct pairs
   constexpr std::size_t kOps = 100'000;
   std::uniform_int_distribution<int> op(0, 9);
@@ -165,23 +165,6 @@ TEST(PairStore, SortedEntriesAreCanonicallyOrdered) {
     const UserPair& a = entries[i - 1].pair;
     const UserPair& b = entries[i].pair;
     EXPECT_TRUE(a.a < b.a || (a.a == b.a && a.b < b.b));
-  }
-}
-
-TEST(PairStore, MapConversionsRoundTrip) {
-  std::mt19937_64 rng(11);
-  analysis::PairStatsMap map;
-  for (int i = 0; i < 800; ++i) {
-    map[random_pair(rng, 60)] = {static_cast<std::uint32_t>(i), 2, 1};
-  }
-  const PairStore store = PairStore::from_map(map);
-  EXPECT_EQ(store.size(), map.size());
-  const analysis::PairStatsMap back = store.to_map();
-  EXPECT_EQ(back.size(), map.size());
-  for (const auto& [p, s] : map) {
-    const auto it = back.find(p);
-    ASSERT_NE(it, back.end());
-    EXPECT_EQ(it->second.encounters, s.encounters);
   }
 }
 

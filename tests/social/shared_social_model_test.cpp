@@ -159,8 +159,8 @@ TEST(SharedSocialModel, SeedsFromTrainedCounts) {
   // encounter without a co-leave should give 3/4.
   SocialModelConfig cfg;
   cfg.alpha = 0.0;
-  analysis::PairStatsMap stats;
-  stats[UserPair(0, 1)] = {3, 3, 0};
+  PairStore stats;
+  stats.assign(UserPair(0, 1), {3, 3, 0});
   UserTyping typing;
   typing.num_types = 1;
   typing.type_of_user.assign(2, 0);
@@ -220,7 +220,7 @@ TEST(SharedSocialModel, CopyKeepsTheta) {
 }
 
 TEST(PresenceTable, AgreesWithOfflineExtractorExactly) {
-  // The incremental detector and analysis::extract_pair_stats implement
+  // The incremental detector and extract_pair_stats implement
   // the same §III-D definitions; on the same assigned trace their
   // encounter/co-leave counts must match pair for pair.
   trace::GeneratorConfig cfg;
@@ -237,8 +237,7 @@ TEST(PresenceTable, AgreesWithOfflineExtractorExactly) {
 
   // Offline.
   analysis::EventExtractionConfig windows;
-  const analysis::PairStatsMap offline =
-      analysis::extract_pair_stats(run.assigned, windows);
+  const PairStore offline = extract_pair_stats(run.assigned, windows);
 
   // Online: feed the assigned trace's association timeline.
   const auto base = empty_model(120);

@@ -20,8 +20,8 @@ SocialIndexModel toy_model(double alpha = 0.3) {
   // and co-left 2 times.
   SocialModelConfig cfg;
   cfg.alpha = alpha;
-  analysis::PairStatsMap stats;
-  stats[UserPair(0, 1)] = {4, 2, 0};
+  PairStore stats;
+  stats.assign(UserPair(0, 1), {4, 2, 0});
   UserTyping typing;
   typing.num_types = 2;
   typing.type_of_user = {0, 0, 1};
@@ -64,8 +64,8 @@ TEST(SocialIndexModel, MinEncountersSuppressesThinPairs) {
   SocialModelConfig cfg;
   cfg.alpha = 0.3;
   cfg.min_encounters = 5;
-  analysis::PairStatsMap stats;
-  stats[UserPair(0, 1)] = {4, 2, 0};
+  PairStore stats;
+  stats.assign(UserPair(0, 1), {4, 2, 0});
   UserTyping typing;
   typing.num_types = 2;
   typing.type_of_user = {0, 0, 1};

@@ -111,11 +111,12 @@ TEST(EstimateTypeMatrix, RatiosFromPairStats) {
   UserTyping typing;
   typing.num_types = 2;
   typing.type_of_user = {0, 0, 1, 1};
-  analysis::PairStatsMap stats;
-  stats[UserPair(0, 1)] = {/*encounters=*/4, /*co_leaves=*/3, 0};   // type 0-0
-  stats[UserPair(2, 3)] = {/*encounters=*/2, /*co_leaves=*/1, 0};   // type 1-1
-  stats[UserPair(0, 2)] = {/*encounters=*/5, /*co_leaves=*/1, 0};   // type 0-1
-  stats[UserPair(1, 3)] = {/*encounters=*/5, /*co_leaves=*/0, 0};   // type 0-1
+  PairStore stats;
+  // {encounters, co_leaves, co_comings}
+  stats.assign(UserPair(0, 1), {4, 3, 0});  // type 0-0
+  stats.assign(UserPair(2, 3), {2, 1, 0});  // type 1-1
+  stats.assign(UserPair(0, 2), {5, 1, 0});  // type 0-1
+  stats.assign(UserPair(1, 3), {5, 0, 0});  // type 0-1
   const TypeCoLeaveMatrix m = estimate_type_matrix(typing, stats);
   EXPECT_DOUBLE_EQ(m.at(0, 0), 0.75);
   EXPECT_DOUBLE_EQ(m.at(1, 1), 0.5);
@@ -128,7 +129,7 @@ TEST(EstimateTypeMatrix, NoEncountersGivesZero) {
   typing.num_types = 2;
   typing.type_of_user = {0, 1};
   const TypeCoLeaveMatrix m =
-      estimate_type_matrix(typing, analysis::PairStatsMap{});
+      estimate_type_matrix(typing, PairStore{});
   EXPECT_DOUBLE_EQ(m.at(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(m.at(0, 1), 0.0);
 }
