@@ -225,20 +225,21 @@ sim::BatchResult S3Selector::place_batch(const sim::BatchRequest& request,
     stats_.clique_members += clique.size();
     stats_.largest_clique = std::max(stats_.largest_clique, clique.size());
     s3_metrics().clique_size->record(clique.size());
-    place_clique_members(batch, clique, scratch, commit);
+    place_clique_members(batch, graph, clique, scratch, commit);
   }
   return {std::move(result), last_full_fidelity_};
 }
 
 void S3Selector::place_clique_members(
-    std::span<const sim::Arrival> batch,
+    std::span<const sim::Arrival> batch, const social::WeightedGraph& graph,
     const std::vector<std::size_t>& clique, const sim::ApLoadTracker& scratch,
     const std::function<void(std::size_t, ApId)>& commit) {
   const std::size_t m = clique.size();
 
   // Precompute, per member, the per-candidate base social cost against
-  // the committed state, and the intra-clique θ matrix (one theta_row
-  // per member against the later members — θ is symmetric).
+  // the committed state, and the intra-clique θ matrix. Every member
+  // pair is a batch-graph edge, weighted with the θ its lower-index
+  // member's theta_row read, so the matrix is read off the graph.
   std::vector<std::vector<double>> member_base(m);
   for (std::size_t k = 0; k < m; ++k) {
     const sim::Arrival& a = batch[clique[k]];
@@ -250,43 +251,32 @@ void S3Selector::place_clique_members(
     }
   }
   std::vector<double> theta(m * m, 0.0);
-  {
-    std::vector<UserId> members(m);
-    for (std::size_t k = 0; k < m; ++k) members[k] = batch[clique[k]].user;
-    std::vector<double> row(m, 0.0);
-    for (std::size_t i = 0; i + 1 < m; ++i) {
-      const std::span<const UserId> vs =
-          std::span<const UserId>(members).subspan(i + 1);
-      const std::span<double> out = std::span<double>(row).first(vs.size());
-      model_->theta_row(members[i], vs, out);
-      for (std::size_t j = 0; j < vs.size(); ++j) {
-        theta[i * m + (i + 1 + j)] = out[j];
-        theta[(i + 1 + j) * m + i] = out[j];
-      }
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = i + 1; j < m; ++j) {
+      theta[i * m + j] = theta[j * m + i] = graph.weight(clique[i], clique[j]);
     }
   }
 
   // Cost/feasibility of extending a partial distribution with member k
-  // on candidate index c, given per-AP demand already added by earlier
-  // members of this distribution.
-  auto extend_cost = [&](const Distribution& d, std::size_t k, std::size_t c,
-                         std::unordered_map<ApId, double>& added) -> double {
+  // on candidate index c: the earlier members of the distribution that
+  // chose the same AP add their θ to the cost and their demand to the
+  // AP's load.
+  auto extend_cost = [&](const Distribution& d, std::size_t k,
+                         std::size_t c) -> double {
     const sim::Arrival& a = batch[clique[k]];
     const ApId ap = a.candidates[c];
-    added.clear();
+    double cost = member_base[k][c];
+    double added = 0.0;
     for (std::size_t p = 0; p < k; ++p) {
-      added[batch[clique[p]].candidates[d.choice[p]]] +=
-          batch[clique[p]].demand_mbps;
+      const sim::Arrival& earlier = batch[clique[p]];
+      if (earlier.candidates[d.choice[p]] == ap) {
+        cost += theta[k * m + p];
+        added += earlier.demand_mbps;
+      }
     }
     if (config_.respect_bandwidth &&
-        scratch.headroom_mbps(ap) - added[ap] < a.demand_mbps) {
+        scratch.headroom_mbps(ap) - added < a.demand_mbps) {
       return kInf;
-    }
-    double cost = member_base[k][c];
-    for (std::size_t p = 0; p < k; ++p) {
-      if (batch[clique[p]].candidates[d.choice[p]] == ap) {
-        cost += theta[k * m + p];
-      }
     }
     return cost;
   };
@@ -307,15 +297,13 @@ void S3Selector::place_clique_members(
     ++stats_.beam_searches;
     s3_metrics().beam_searches->add();
   }
-  std::unordered_map<ApId, double> added_scratchpad;
-
   for (std::size_t k = 0; k < m; ++k) {
     const std::size_t n_cand = batch[clique[k]].candidates.size();
     std::vector<Distribution> next;
     next.reserve(frontier.size() * n_cand);
     for (const Distribution& d : frontier) {
       for (std::size_t c = 0; c < n_cand; ++c) {
-        const double step = extend_cost(d, k, c, added_scratchpad);
+        const double step = extend_cost(d, k, c);
         Distribution e = d;
         e.choice.push_back(c);
         if (step == kInf) {

@@ -134,8 +134,10 @@ class S3Selector final : public sim::ApSelector {
  private:
   /// Places one multi-member clique (steps 5–7 of Algorithm 1) against
   /// the already-committed scratch state; `commit` receives
-  /// (batch index, chosen AP) per member.
+  /// (batch index, chosen AP) per member. `graph` is the batch graph
+  /// the clique came from: its edge weights are the members' θ.
   void place_clique_members(std::span<const sim::Arrival> batch,
+                            const social::WeightedGraph& graph,
                             const std::vector<std::size_t>& clique,
                             const sim::ApLoadTracker& scratch,
                             const std::function<void(std::size_t, ApId)>& commit);
